@@ -20,11 +20,12 @@
 //   STC_JOB_TIMEOUT - per-job deadline in seconds (default 0 = off); an
 //                   overrunning job is recorded as timed_out, not aborted
 //   STC_JOB_RETRIES - extra attempts per failed job (default 1)
-//   STC_REPLAY    - trace replay engine: interp|batched|compiled|auto
-//                   (default auto = compiled). Non-interp modes route every
-//                   cell through a pre-built replay plan (src/sim/replay.h);
-//                   counters stay bit-identical to the interpreter (the
-//                   oracle's check_replay_modes proves it, and STC_VERIFY=1
+//   STC_REPLAY    - trace replay engine: interp|compiled|auto
+//                   (default auto = compiled). compiled routes every cell
+//                   through a pre-built, in-memory replay plan
+//                   (src/sim/replay.h); counters stay bit-identical to the
+//                   interpreter (the oracle's check_replay_modes proves it
+//                   against a naive reference model, and STC_VERIFY=1
 //                   re-checks every planned cell in-process)
 //   STC_BACKEND   - execution back end: off|inorder|ooo (default off).
 //                   off keeps every bench byte-identical to the
@@ -50,8 +51,6 @@
 //                   byte-identical (outside timing fields) to STC_SHARDS=1
 //   STC_MMAP      - 1 streams on-disk traces through mmap, 0 forces buffered
 //                   reads (default 1; scale_sweep's streaming cells)
-//   STC_PLAN_CACHE_DIR - directory for the on-disk compiled replay-plan
-//                   cache (default unset = rebuild plans in-process)
 //   STC_RESUME    - 1 resumes a killed/crashed run from BENCH_<name>.journal,
 //                   re-running only the cells the journal does not cover; the
 //                   finished report is byte-identical to an uninterrupted run
@@ -303,7 +302,7 @@ const sim::ReplayPlan* plan_for(const trace::BlockTrace& trace,
 // One timed replay-throughput cell (bench/replay_throughput.cpp and the
 // schema-lock test). Runs the selected simulator over the triple in the
 // requested mode, timing the replay loop ("seconds", "events_per_sec") and —
-// for plan-backed modes — the plan build ("plan_seconds"). The counters are
+// for the compiled mode — the plan build ("plan_seconds"). The counters are
 // always cross-checked against an untimed interpreter run; a divergence
 // throws StatusError so the runner records the cell as failed.
 enum class ReplaySimKind { kMissRate, kSequentiality, kSeq3, kTraceCache,

@@ -15,8 +15,8 @@ using sim::FetchPipe;
 // Two modes behind one call: the interpreter path computes latency and
 // register names from the shared BackendSpec helpers; the plan path walks
 // the event slab in lockstep with the fetch stream and reads the values
-// from the compiled back-end tables when the plan carries them (batched
-// plans compute, from the same metadata). Identical results by
+// from the compiled back-end tables when the plan carries them (plans built
+// without a back-end spec compute them from the same metadata). Identical results by
 // construction — the DCHECKs pin the lockstep.
 class OpSource {
  public:

@@ -18,7 +18,8 @@
 // Both overloads produce bit-identical counters: the interpreter path
 // computes each op's latency/registers from the shared BackendSpec helpers
 // per event; the plan path reads the same values from the plan's compiled
-// back-end tables (or computes them for batched plans). check_replay_modes
+// back-end tables (or computes them when the plan carries none, e.g. one
+// built without a back-end spec). check_replay_modes
 // proves the identity on every verified run.
 #pragma once
 
@@ -55,7 +56,7 @@ Result<BackendResult> run_seq3_backend(const trace::BlockTrace& trace,
                                        const BackendParams& backend_params,
                                        sim::ICache* cache);
 
-// Batched/compiled replay from a pre-built plan (sim/replay.h); counters are
+// Compiled replay from a pre-built plan (sim/replay.h); counters are
 // bit-identical to the interpreter overload. A plan carrying back-end
 // tables must have been built with backend_params.spec() — the
 // ReplayPlanCache keys on the spec fingerprint to guarantee it.

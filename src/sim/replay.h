@@ -1,4 +1,4 @@
-// Batched and compiled trace replay.
+// Compiled trace replay.
 //
 // The interpreter path (trace::BlockRunStream and the per-event Cursor) pays
 // a varint decode, two map lookups and a virtual-free-but-branchy state
@@ -10,22 +10,24 @@
 // loops then index flat arrays instead of re-deriving the same answers per
 // event.
 //
-// Three modes, selected with STC_REPLAY (validated in src/support/env):
-//   interp   - the original per-event streams; the reference semantics.
-//   batched  - slab + SoA metadata; simulators consume the same BlockRun
-//              values the interpreter would produce, via shared code paths.
-//   compiled - batched, plus per-block cache-line membership (first/last
-//              line index under a fixed line size) and the trace-cache word
-//              index pre-resolved into flat tables keyed by block id, so the
-//              Table 3 inner loop is table lookups plus counter updates.
-//   auto     - the fastest mode (currently compiled).
+// Two modes, selected with STC_REPLAY (validated in src/support/env):
+//   interp   - the original per-event streams.
+//   compiled - slab + SoA metadata, plus per-block cache-line membership
+//              (first/last line index under a fixed line size) and the
+//              trace-cache word index pre-resolved into flat tables keyed by
+//              block id, so the Table 3 inner loop is table lookups plus
+//              counter updates. Simulators without a table-driven loop
+//              consume the same BlockRun values the interpreter would
+//              produce, via shared code paths.
+//   auto     - the fastest mode (compiled).
 //
-// Every mode is required to produce counters bit-identical to the
-// interpreter; verify::check_replay_modes and the STC_VERIFY=1 bench path
-// prove it on every run, and tools/stc_fuzz --replay-diff hunts for
-// divergences. The compiled-table build runs through faultpoint
-// "replay.compile" so fault-injection tests can force the clean fallback to
-// the interpreter.
+// Both modes are required to produce counters bit-identical to each other
+// and, for the miss rate and SEQ.3, to the naive reference model
+// (verify/reference.h). verify::check_replay_modes proves both, and
+// tools/stc_fuzz --replay-diff hunts for divergences; the STC_VERIFY=1
+// bench path re-checks every planned cell against the interpreter. The
+// compiled-table build runs through faultpoint "replay.compile" so
+// fault-injection tests can force the clean fallback to the interpreter.
 //
 // The missrate/sequentiality inner loops are span kernels over a raw event
 // range with explicit carried state (replay_detail), which buys two things:
@@ -58,7 +60,7 @@
 
 namespace stc::sim {
 
-enum class ReplayMode { kInterp, kBatched, kCompiled };
+enum class ReplayMode { kInterp, kCompiled };
 
 // Inner-loop kernel selection. kSimd takes the 8-wide vector path where the
 // toolchain provides vector extensions (GCC/Clang; define STC_REPLAY_NO_SIMD
@@ -142,8 +144,8 @@ class BlockMetaTable {
 class EventSlab {
  public:
   void build(const trace::BlockTrace& trace);
-  // Takes ownership of a pre-decoded event vector (the on-disk plan-cache
-  // load path); computes max_id like build() does.
+  // Takes ownership of a pre-decoded event vector (e.g. a window cut out of
+  // a longer decoded trace); computes max_id like build() does.
   void adopt(std::vector<cfg::BlockId> events);
 
   std::size_t size() const { return events_.size(); }
@@ -236,16 +238,6 @@ class CompiledTable {
   Status build(const BlockMetaTable& meta, std::uint32_t line_bytes,
                ReplayArena& arena);
 
-  // Installs pre-built tables (the on-disk plan-cache load path). The
-  // arrays must outlive the table — they live in the owning plan's arena.
-  void adopt(std::uint32_t line_bytes, const std::uint64_t* first_line,
-             const std::uint64_t* last_line, const std::uint64_t* word_index) {
-    line_bytes_ = line_bytes;
-    first_line_ = first_line;
-    last_line_ = last_line;
-    word_index_ = word_index;
-  }
-
   bool valid() const { return line_bytes_ != 0; }
   std::uint32_t line_bytes() const { return line_bytes_; }
   std::uint64_t first_line(cfg::BlockId b) const { return first_line_[b]; }
@@ -271,19 +263,6 @@ class BackendTable {
   void build(const BlockMetaTable& meta, const BackendSpec& spec,
              ReplayArena& arena);
 
-  // Installs pre-built tables (the on-disk plan-cache load path); the
-  // arrays must outlive the table.
-  void adopt(const BackendSpec& spec, const std::uint32_t* latency,
-             const std::uint8_t* dest, const std::uint8_t* src1,
-             const std::uint8_t* src2) {
-    spec_ = spec;
-    latency_ = latency;
-    dest_ = dest;
-    src1_ = src1;
-    src2_ = src2;
-    valid_ = true;
-  }
-
   bool valid() const { return valid_; }
   const BackendSpec& spec() const { return spec_; }
   std::uint32_t latency(cfg::BlockId b) const { return latency_[b]; }
@@ -300,12 +279,11 @@ class BackendTable {
   const std::uint8_t* src2_ = nullptr;
 };
 
-// One built replay: a mode, the shared event slab, and the tables for a
+// One built compiled replay: the shared event slab and the tables for a
 // specific (image, layout, line size). Immutable once built; safe to share
 // across threads.
 class ReplayPlan {
  public:
-  ReplayMode mode() const { return mode_; }
   std::uint64_t num_events() const { return slab_->size(); }
   const EventSlab& slab() const { return *slab_; }
   const BlockMetaTable& meta() const { return meta_; }
@@ -337,9 +315,7 @@ class ReplayPlan {
       ReplayMode mode, std::shared_ptr<const EventSlab> slab,
       const cfg::ProgramImage& image, const cfg::AddressMap& layout,
       std::uint32_t line_bytes, const BackendSpec& backend);
-  friend class ReplayPlanCache;  // the disk-load path adopts tables directly
 
-  ReplayMode mode_ = ReplayMode::kBatched;
   std::shared_ptr<const EventSlab> slab_;
   std::unique_ptr<ReplayArena> arena_;  // stable storage behind the tables
   BlockMetaTable meta_;
@@ -347,11 +323,11 @@ class ReplayPlan {
   BackendTable backend_;
 };
 
-// Builds a plan for `mode` (kBatched or kCompiled). `line_bytes` is the
-// cache-line size the compiled tables specialize for; 0 skips the line
-// tables (layout-only plans, e.g. sequentiality). An enabled `backend`
-// spec additionally bakes the back-end op tables into compiled plans. The
-// slab may be shared between plans over the same trace.
+// Builds a compiled plan; `mode` must be kCompiled (kInterp has no plan).
+// `line_bytes` is the cache-line size the compiled tables specialize for; 0
+// skips the line tables (layout-only plans, e.g. sequentiality). An enabled
+// `backend` spec additionally bakes the back-end op tables into the plan.
+// The slab may be shared between plans over the same trace.
 Result<ReplayPlan> build_replay_plan(ReplayMode mode,
                                      std::shared_ptr<const EventSlab> slab,
                                      const cfg::ProgramImage& image,
@@ -365,26 +341,17 @@ Result<ReplayPlan> build_replay_plan(ReplayMode mode,
                                      std::uint32_t line_bytes,
                                      const BackendSpec& backend = {});
 
-// Memoizes slabs per trace and plans per (mode, trace, image, layout, line
-// size) — the bench grids evaluate many cells over few distinct layouts.
-// Keys are CONTENT fingerprints, not object addresses: benches rebuild
-// traces, images and layouts per cell, and the allocator happily recycles a
-// dead layout's address for the next one — a pointer key would then serve a
-// plan built for different code. Returns nullptr for kInterp and for a
-// failed compiled build (fault injection); callers then take the
-// interpreter path. Thread-safe.
+// In-memory memo of slabs per trace and compiled plans per (trace, image,
+// layout, line size, back-end spec) — the bench grids evaluate many cells
+// over few distinct layouts. Keys are CONTENT fingerprints, not object
+// addresses: benches rebuild traces, images and layouts per cell, and the
+// allocator happily recycles a dead layout's address for the next one — a
+// pointer key would then serve a plan built for different code. Returns
+// nullptr for a failed compiled build (fault injection); callers then take
+// the interpreter path. Thread-safe.
 class ReplayPlanCache {
  public:
-  // Reads STC_PLAN_CACHE_DIR once at construction. When set, decoded event
-  // slabs and compiled tables additionally persist to that directory
-  // (host-endian, CRC-checked, atomic writes under fault prefix
-  // "plancache.write"), keyed by the same content fingerprints — so plans
-  // survive across bench *invocations*, not just across cells. A corrupt or
-  // mismatched cache file is silently rebuilt and rewritten; the disk layer
-  // can slow a run down but never change its counters.
-  ReplayPlanCache();
-
-  const ReplayPlan* get(ReplayMode mode, const trace::BlockTrace& trace,
+  const ReplayPlan* get(const trace::BlockTrace& trace,
                         const cfg::ProgramImage& image,
                         const cfg::AddressMap& layout,
                         std::uint32_t line_bytes,
@@ -394,13 +361,12 @@ class ReplayPlanCache {
   // The trailing uint64 is BackendSpec::fingerprint(): plans carrying
   // back-end tables bake the spec's latencies in, so two configs sharing a
   // (trace, image, layout, line) cell must still get distinct plans.
-  using Key = std::tuple<int, std::uint64_t, std::uint64_t, std::uint64_t,
+  using Key = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
                          std::uint32_t, std::uint64_t>;
   std::mutex mu_;
   std::map<std::uint64_t, std::shared_ptr<const EventSlab>> slabs_;
   std::map<Key, std::unique_ptr<const ReplayPlan>> plans_;  // null = fallback
   bool logged_fallback_ = false;
-  std::string disk_dir_;  // "" = on-disk layer disabled
 };
 
 // Span kernels behind the replay loops, exposed so tests can pin SIMD
@@ -422,7 +388,7 @@ struct SeqSpanState {
 };
 
 // `tables` may be null (or built for a different line size); the kernel
-// then derives line bounds from `meta` exactly like the batched loop.
+// then derives line bounds from `meta` exactly like the interpreter.
 void missrate_span(const cfg::BlockId* events, std::size_t n,
                    const BlockMetaTable& meta, const CompiledTable* tables,
                    std::uint32_t line_bytes, ICache& cache,
@@ -435,7 +401,7 @@ void sequentiality_span(const cfg::BlockId* events, std::size_t n,
 
 }  // namespace replay_detail
 
-// Batched/compiled equivalents of run_missrate and measure_sequentiality
+// Compiled equivalents of run_missrate and measure_sequentiality
 // (the fetch-unit and trace-cache plan overloads live next to their
 // interpreter versions in fetch_unit.h / trace_cache.h / front_end.h).
 MissRateResult replay_missrate(const ReplayPlan& plan, ICache& cache,

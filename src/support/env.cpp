@@ -133,11 +133,11 @@ Result<std::string> replay() {
   const char* value = std::getenv("STC_REPLAY");
   if (value == nullptr) return std::string("auto");
   const std::string v(value);
-  for (const char* name : {"interp", "batched", "compiled", "auto"}) {
+  for (const char* name : {"interp", "compiled", "auto"}) {
     if (v == name) return v;
   }
   return invalid_argument_error(
-      "STC_REPLAY='" + v + "': expected one of interp|batched|compiled|auto");
+      "STC_REPLAY='" + v + "': expected one of interp|compiled|auto");
 }
 
 Result<std::string> backend() {
@@ -342,17 +342,6 @@ Result<bool> mmap_enabled() {
   return invalid_argument_error("STC_MMAP='" + v + "': expected 0 or 1");
 }
 
-Result<std::string> plan_cache_dir() {
-  const char* value = std::getenv("STC_PLAN_CACHE_DIR");
-  if (value == nullptr || value[0] == '\0') return std::string();
-  struct stat st{};
-  if (::stat(value, &st) != 0 || !S_ISDIR(st.st_mode)) {
-    return invalid_argument_error(std::string("STC_PLAN_CACHE_DIR='") + value +
-                                  "': expected an existing directory");
-  }
-  return std::string(value);
-}
-
 Status validate_all() {
   if (Status s = threads().status(); !s.is_ok()) return s;
   if (Status s = scale_factor().status(); !s.is_ok()) return s;
@@ -378,7 +367,6 @@ Status validate_all() {
   if (Status s = heartbeat().status(); !s.is_ok()) return s;
   if (Status s = zero_timings().status(); !s.is_ok()) return s;
   if (Status s = mmap_enabled().status(); !s.is_ok()) return s;
-  if (Status s = plan_cache_dir().status(); !s.is_ok()) return s;
   if (const char* spec = std::getenv("STC_FAULT")) {
     if (Status s = fault::validate_spec(spec); !s.is_ok()) {
       return s.with_context("STC_FAULT");

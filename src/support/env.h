@@ -46,9 +46,9 @@ Result<std::string> bpred();
 // (0 disables prefetching). Default 8.
 Result<std::uint32_t> ftq_depth();
 
-// STC_REPLAY: trace replay engine; one of interp|batched|compiled|auto.
+// STC_REPLAY: trace replay engine; one of interp|compiled|auto.
 // Default "auto" (the fastest mode whose output is oracle-identical to the
-// interpreter — currently compiled). See src/sim/replay.h.
+// interpreter — compiled). See src/sim/replay.h.
 Result<std::string> replay();
 
 // STC_BACKEND: execution back end behind the front end; one of
@@ -116,10 +116,6 @@ Result<bool> zero_timings();
 // STC_MMAP: 0/1 — stream on-disk traces through mmap (TraceReader falls
 // back to buffered reads when mapping fails). Default 1.
 Result<bool> mmap_enabled();
-
-// STC_PLAN_CACHE_DIR: directory for on-disk replay-plan cache entries;
-// must already exist and be a directory. Default "" (cache disabled).
-Result<std::string> plan_cache_dir();
 
 // Parses every knob above plus the STC_FAULT spec syntax; returns the first
 // error. Cheap — pure parsing, no filesystem work beyond one stat.

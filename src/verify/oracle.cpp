@@ -7,6 +7,7 @@
 #include "sim/replay.h"
 #include "sim/trace_cache.h"
 #include "trace/fetch_stream.h"
+#include "verify/reference.h"
 
 namespace stc::verify {
 namespace {
@@ -878,7 +879,8 @@ Report check_counters_equal(const CounterSet& expected,
     }
     if (e[i].second != a[i].second) {
       report.fail(std::string(what) + ": " + e[i].first + " = " +
-                  u64(a[i].second) + " (interp " + u64(e[i].second) + ")");
+                  u64(a[i].second) + " (expected " + u64(e[i].second) +
+                  ")");
     }
   }
   return report;
@@ -886,17 +888,14 @@ Report check_counters_equal(const CounterSet& expected,
 
 namespace {
 
-// Every simulator's counters for one replay mode, plus the Table 3
-// per-block miss attribution.
-struct ModeCounters {
-  CounterSet miss;
+// Every simulator's counters for one replay mode; the base holds the ones
+// the reference model also produces.
+struct ModeCounters : ReferenceCounters {
   CounterSet seq;
-  CounterSet seq3;
   CounterSet tc;
   CounterSet fe_seq3;
   CounterSet fe_tc;
   CounterSet be;
-  std::vector<std::uint64_t> per_block;
 };
 
 // A realistic speculative front end (gshare + FDIP) so the differential
@@ -987,91 +986,122 @@ Report check_replay_modes(const trace::BlockTrace& trace,
     }
   }
 
-  for (const sim::ReplayMode mode :
-       {sim::ReplayMode::kBatched, sim::ReplayMode::kCompiled}) {
-    Result<sim::ReplayPlan> built = sim::build_replay_plan(
-        mode, trace, image, layout, geometry.line_bytes, bp.spec());
-    const std::string m = sim::to_string(mode);
-    if (!built.is_ok()) {
-      report.fail(m + ": plan build failed: " + built.status().to_string());
-      continue;
-    }
-    const sim::ReplayPlan& plan = built.value();
-    ModeCounters got;
-    {
-      sim::ICache cache(geometry);
-      sim::replay_missrate(plan, cache, &got.per_block)
-          .export_counters(got.miss);
-      cache.stats().export_counters(got.miss);
-    }
-    sim::replay_sequentiality(plan).export_counters(got.seq);
-    {
-      sim::ICache cache(geometry);
-      sim::run_seq3(plan, fparams, &cache).export_counters(got.seq3);
-      cache.stats().export_counters(got.seq3);
-    }
-    {
-      sim::ICache cache(geometry);
-      sim::run_trace_cache(plan, fparams, tc_params, &cache)
-          .export_counters(got.tc);
-      cache.stats().export_counters(got.tc);
-    }
-    {
-      sim::ICache cache(geometry);
-      const frontend::FrontEndResult r =
-          frontend::run_seq3_frontend(plan, fparams, fe, &cache);
-      r.fetch.export_counters(got.fe_seq3);
-      r.frontend.export_counters(got.fe_seq3);
-      cache.stats().export_counters(got.fe_seq3);
-    }
-    {
-      sim::ICache cache(geometry);
-      const frontend::FrontEndResult r =
-          frontend::run_trace_cache_frontend(plan, fparams, tc_params, fe,
-                                             &cache);
-      r.fetch.export_counters(got.fe_tc);
-      r.frontend.export_counters(got.fe_tc);
-      cache.stats().export_counters(got.fe_tc);
-    }
-    {
-      sim::ICache cache(geometry);
-      const Result<backend::BackendResult> r =
-          backend::run_seq3_backend(plan, fparams, fe, bp, &cache);
-      if (!r.is_ok()) {
-        report.fail("backend[" + m + "]: " + r.status().to_string());
-      } else {
-        r.value().fetch.export_counters(got.be);
-        r.value().frontend.export_counters(got.be);
-        r.value().backend.export_counters(got.be);
-        cache.stats().export_counters(got.be);
-      }
-    }
+  const ReferenceCounters reference =
+      reference_counters(trace, image, layout, geometry);
+  report.merge(check_against_reference(reference, interp, image, "interp"));
 
-    report.merge(check_counters_equal(interp.miss, got.miss,
-                                      "missrate[" + m + "]"));
-    report.merge(check_counters_equal(interp.seq, got.seq,
-                                      "sequentiality[" + m + "]"));
-    report.merge(check_counters_equal(interp.seq3, got.seq3,
-                                      "seq3[" + m + "]"));
-    report.merge(check_counters_equal(interp.tc, got.tc,
-                                      "trace_cache[" + m + "]"));
-    report.merge(check_counters_equal(interp.fe_seq3, got.fe_seq3,
-                                      "seq3+frontend[" + m + "]"));
-    report.merge(check_counters_equal(interp.fe_tc, got.fe_tc,
-                                      "trace_cache+frontend[" + m + "]"));
-    report.merge(check_counters_equal(interp.be, got.be,
-                                      "backend[" + m + "]"));
-    if (got.per_block != interp.per_block) {
-      std::size_t where = 0;
-      while (where < interp.per_block.size() &&
-             where < got.per_block.size() &&
-             interp.per_block[where] == got.per_block[where]) {
-        ++where;
-      }
-      report.fail("missrate[" + m +
-                  "]: per-block miss attribution diverges at " +
-                  block_ref(image, static_cast<BlockId>(where)));
+  Result<sim::ReplayPlan> built =
+      sim::build_replay_plan(sim::ReplayMode::kCompiled, trace, image,
+                             layout, geometry.line_bytes, bp.spec());
+  const std::string m = "compiled";
+  if (!built.is_ok()) {
+    report.fail(m + ": plan build failed: " + built.status().to_string());
+    return report;
+  }
+  const sim::ReplayPlan& plan = built.value();
+  ModeCounters got;
+  {
+    sim::ICache cache(geometry);
+    sim::replay_missrate(plan, cache, &got.per_block)
+        .export_counters(got.miss);
+    cache.stats().export_counters(got.miss);
+  }
+  sim::replay_sequentiality(plan).export_counters(got.seq);
+  {
+    sim::ICache cache(geometry);
+    sim::run_seq3(plan, fparams, &cache).export_counters(got.seq3);
+    cache.stats().export_counters(got.seq3);
+  }
+  {
+    sim::ICache cache(geometry);
+    sim::run_trace_cache(plan, fparams, tc_params, &cache)
+        .export_counters(got.tc);
+    cache.stats().export_counters(got.tc);
+  }
+  {
+    sim::ICache cache(geometry);
+    const frontend::FrontEndResult r =
+        frontend::run_seq3_frontend(plan, fparams, fe, &cache);
+    r.fetch.export_counters(got.fe_seq3);
+    r.frontend.export_counters(got.fe_seq3);
+    cache.stats().export_counters(got.fe_seq3);
+  }
+  {
+    sim::ICache cache(geometry);
+    const frontend::FrontEndResult r =
+        frontend::run_trace_cache_frontend(plan, fparams, tc_params, fe,
+                                           &cache);
+    r.fetch.export_counters(got.fe_tc);
+    r.frontend.export_counters(got.fe_tc);
+    cache.stats().export_counters(got.fe_tc);
+  }
+  {
+    sim::ICache cache(geometry);
+    const Result<backend::BackendResult> r =
+        backend::run_seq3_backend(plan, fparams, fe, bp, &cache);
+    if (!r.is_ok()) {
+      report.fail("backend[" + m + "]: " + r.status().to_string());
+    } else {
+      r.value().fetch.export_counters(got.be);
+      r.value().frontend.export_counters(got.be);
+      r.value().backend.export_counters(got.be);
+      cache.stats().export_counters(got.be);
     }
+  }
+
+  // The miss rate and SEQ.3 are held to the reference model (which the
+  // interpreter matched above); the rest to the interpreter.
+  report.merge(check_against_reference(reference, got, image, m));
+  report.merge(check_counters_equal(interp.seq, got.seq,
+                                    "sequentiality[" + m + "]"));
+  report.merge(check_counters_equal(interp.tc, got.tc,
+                                    "trace_cache[" + m + "]"));
+  report.merge(check_counters_equal(interp.fe_seq3, got.fe_seq3,
+                                    "seq3+frontend[" + m + "]"));
+  report.merge(check_counters_equal(interp.fe_tc, got.fe_tc,
+                                    "trace_cache+frontend[" + m + "]"));
+  report.merge(check_counters_equal(interp.be, got.be,
+                                    "backend[" + m + "]"));
+  return report;
+}
+
+ReferenceCounters reference_counters(const trace::BlockTrace& trace,
+                                     const cfg::ProgramImage& image,
+                                     const cfg::AddressMap& layout,
+                                     const sim::CacheGeometry& geometry) {
+  ReferenceCounters out;
+  const ReferenceMissRate miss =
+      reference_missrate(trace, image, layout, geometry);
+  miss.result.export_counters(out.miss);
+  miss.cache.export_counters(out.miss);
+  out.per_block = miss.per_block;
+  const ReferenceSeq3 seq3 =
+      reference_seq3(trace, image, layout, sim::FetchParams{}, geometry);
+  seq3.result.export_counters(out.seq3);
+  seq3.cache.export_counters(out.seq3);
+  return out;
+}
+
+Report check_against_reference(const ReferenceCounters& reference,
+                               const ReferenceCounters& production,
+                               const cfg::ProgramImage& image,
+                               std::string_view mode) {
+  const std::string m(mode);
+  Report report;
+  report.merge(check_counters_equal(reference.miss, production.miss,
+                                    "missrate[" + m + " vs reference]"));
+  report.merge(check_counters_equal(reference.seq3, production.seq3,
+                                    "seq3[" + m + " vs reference]"));
+  if (production.per_block != reference.per_block) {
+    std::size_t where = 0;
+    while (where < reference.per_block.size() &&
+           where < production.per_block.size() &&
+           reference.per_block[where] == production.per_block[where]) {
+      ++where;
+    }
+    report.fail("missrate[" + m +
+                " vs reference]: per-block miss attribution diverges at " +
+                block_ref(image, static_cast<BlockId>(where)));
   }
   return report;
 }

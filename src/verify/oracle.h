@@ -174,14 +174,37 @@ Report check_counters_equal(const CounterSet& expected,
 // fuzz-sized traces.
 backend::BackendParams replay_diff_backend();
 
+// The counters the naive reference model (verify/reference.h) covers, in
+// the production simulators' export order: the miss rate (MissRateResult
+// then CacheStats), its per-block miss attribution, and SEQ.3 under
+// FetchParams{} (FetchResult then CacheStats).
+struct ReferenceCounters {
+  CounterSet miss;
+  std::vector<std::uint64_t> per_block;
+  CounterSet seq3;
+};
+
+// Runs the reference model over the triple.
+ReferenceCounters reference_counters(const trace::BlockTrace& trace,
+                                     const cfg::ProgramImage& image,
+                                     const cfg::AddressMap& layout,
+                                     const sim::CacheGeometry& geometry);
+
+// Bit-identity of one production engine's counters (`mode` names it in
+// error messages) with the reference model's.
+Report check_against_reference(const ReferenceCounters& reference,
+                               const ReferenceCounters& production,
+                               const cfg::ProgramImage& image,
+                               std::string_view mode);
+
 // Runs every simulator — miss rate (with per-block attribution),
 // sequentiality, SEQ.3, trace cache, the speculative front end, and the
-// back-end pipeline — in the interp, batched and compiled replay modes
+// back-end pipeline — in the interp and compiled replay modes
 // (sim/replay.h) and requires the counters to be bit-identical across
-// modes. The interpreter is the reference; any divergence is a
-// replay-engine bug. `backend_params` overrides the back-end configuration
-// (replay_diff_backend() when null); the interp back-end run additionally
-// passes check_backend_result.
+// modes; the miss rate and SEQ.3 of both modes must also match the naive
+// reference model. Any divergence is a replay-engine bug. `backend_params`
+// overrides the back-end configuration (replay_diff_backend() when null);
+// the interp back-end run additionally passes check_backend_result.
 Report check_replay_modes(const trace::BlockTrace& trace,
                           const cfg::ProgramImage& image,
                           const cfg::AddressMap& layout,

@@ -203,14 +203,16 @@ TEST(BackendPropertyTest, ReplayEnginesAreBitIdentical) {
     const BackendParams bp = random_params(rng);
     const frontend::FrontEndParams fe = random_frontend(rng);
     const CounterSet reference = run_counters(trace, *image, layout, fe, bp);
-    for (const sim::ReplayMode mode :
-         {sim::ReplayMode::kBatched, sim::ReplayMode::kCompiled}) {
+    // A plan built with the spec embeds the back-end tables; one built
+    // without recomputes the op costs per event from the same metadata.
+    for (const bool with_tables : {true, false}) {
       const Result<sim::ReplayPlan> plan = sim::build_replay_plan(
-          mode, trace, *image, layout, kGeometry.line_bytes, bp.spec());
+          sim::ReplayMode::kCompiled, trace, *image, layout,
+          kGeometry.line_bytes,
+          with_tables ? bp.spec() : sim::BackendSpec{});
       ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
-      // Compiled plans embed the back-end tables; batched plans recompute.
       EXPECT_EQ(plan.value().backend().valid(),
-                mode == sim::ReplayMode::kCompiled);
+                with_tables && bp.spec().enabled);
       sim::ICache cache(kGeometry);
       const Result<BackendResult> r = run_seq3_backend(
           plan.value(), sim::FetchParams{}, fe, bp, &cache);
@@ -220,10 +222,10 @@ TEST(BackendPropertyTest, ReplayEnginesAreBitIdentical) {
       r.value().frontend.export_counters(got);
       r.value().backend.export_counters(got);
       cache.stats().export_counters(got);
-      const verify::Report report = verify::check_counters_equal(
-          reference, got, sim::to_string(mode));
-      EXPECT_TRUE(report.ok()) << "trial " << trial << " "
-                               << sim::to_string(mode) << ": "
+      const char* what = with_tables ? "compiled" : "compiled, no tables";
+      const verify::Report report =
+          verify::check_counters_equal(reference, got, what);
+      EXPECT_TRUE(report.ok()) << "trial " << trial << " " << what << ": "
                                << report.summary();
     }
   }

@@ -2,13 +2,10 @@
 // ones bit for bit on every span length (vector body and tail alike), spans
 // must compose through the carried state exactly like one flat pass, and the
 // streamed entry points over an on-disk trace must reproduce the in-memory
-// replay counters. The plan-cache tests cover the STC_PLAN_CACHE_DIR disk
-// layer: round-trip, silent rebuild of a corrupt file, and key isolation.
+// replay counters.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -204,98 +201,6 @@ TEST_F(ReplayStreamTest, StreamedReplayRangeChecksEventIds) {
   auto seq = replay_sequentiality_streamed(opened.value(), plan_->meta());
   ASSERT_FALSE(seq.is_ok());
   EXPECT_EQ(seq.status().code(), ErrorCode::kCorruptData);
-}
-
-class PlanCacheDiskTest : public ReplayStreamTest {
- protected:
-  void SetUp() override {
-    ReplayStreamTest::SetUp();
-    dir_ = ::testing::TempDir() + "/stc_plan_cache_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    ASSERT_EQ(::system(("rm -rf '" + dir_ + "' && mkdir '" + dir_ + "'")
-                           .c_str()),
-              0);
-    ::setenv("STC_PLAN_CACHE_DIR", dir_.c_str(), 1);
-  }
-  void TearDown() override {
-    ::unsetenv("STC_PLAN_CACHE_DIR");
-    [[maybe_unused]] int rc = ::system(("rm -rf '" + dir_ + "'").c_str());
-    ReplayStreamTest::TearDown();
-  }
-
-  std::vector<std::string> cache_files() const {
-    std::vector<std::string> files;
-    std::FILE* pipe =
-        ::popen(("ls '" + dir_ + "' 2>/dev/null").c_str(), "r");
-    char line[512];
-    while (pipe != nullptr && std::fgets(line, sizeof line, pipe)) {
-      std::string name(line);
-      while (!name.empty() && (name.back() == '\n' || name.back() == '\r')) {
-        name.pop_back();
-      }
-      if (!name.empty()) files.push_back(dir_ + "/" + name);
-    }
-    if (pipe != nullptr) ::pclose(pipe);
-    return files;
-  }
-
-  MissRateResult replay_via_cache(ReplayPlanCache& cache_obj) {
-    const ReplayPlan* plan = cache_obj.get(ReplayMode::kCompiled, trace_,
-                                           *image_, layout_, kLineBytes);
-    EXPECT_NE(plan, nullptr);
-    ICache cache(geometry());
-    return replay_missrate(*plan, cache);
-  }
-
-  std::string dir_;
-};
-
-TEST_F(PlanCacheDiskTest, RoundTripsThroughDiskAcrossCacheInstances) {
-  ICache ref_cache(geometry());
-  const MissRateResult ref = replay_missrate(*plan_, ref_cache);
-
-  ReplayPlanCache first;  // cold: builds and persists
-  const MissRateResult built = replay_via_cache(first);
-  EXPECT_EQ(built.misses, ref.misses);
-  EXPECT_FALSE(cache_files().empty());
-
-  ReplayPlanCache second;  // warm: adopts the persisted slab and tables
-  const MissRateResult loaded = replay_via_cache(second);
-  EXPECT_EQ(loaded.instructions, ref.instructions);
-  EXPECT_EQ(loaded.line_accesses, ref.line_accesses);
-  EXPECT_EQ(loaded.misses, ref.misses);
-}
-
-TEST_F(PlanCacheDiskTest, CorruptCacheFileIsSilentlyRebuilt) {
-  ICache ref_cache(geometry());
-  const MissRateResult ref = replay_missrate(*plan_, ref_cache);
-  {
-    ReplayPlanCache warmup;
-    replay_via_cache(warmup);
-  }
-  const std::vector<std::string> files = cache_files();
-  ASSERT_FALSE(files.empty());
-  for (const std::string& path : files) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "not a plan cache file";
-  }
-  ReplayPlanCache fresh;  // must rebuild, not crash or serve garbage
-  const MissRateResult rebuilt = replay_via_cache(fresh);
-  EXPECT_EQ(rebuilt.instructions, ref.instructions);
-  EXPECT_EQ(rebuilt.misses, ref.misses);
-}
-
-TEST_F(PlanCacheDiskTest, DistinctLineSizesGetDistinctPlans) {
-  ReplayPlanCache cache_obj;
-  const ReplayPlan* a = cache_obj.get(ReplayMode::kCompiled, trace_, *image_,
-                                      layout_, 32);
-  const ReplayPlan* b = cache_obj.get(ReplayMode::kCompiled, trace_, *image_,
-                                      layout_, 64);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(a->compiled().line_bytes(), 32u);
-  EXPECT_EQ(b->compiled().line_bytes(), 64u);
 }
 
 }  // namespace

@@ -147,15 +147,16 @@ TEST(EnvTest, ReplayNamesTheAcceptedSet) {
     ScopedEnv guard("STC_REPLAY", nullptr);
     EXPECT_EQ(replay().value(), "auto");  // unset → engine picks
   }
-  for (const char* good : {"interp", "batched", "compiled", "auto"}) {
+  for (const char* good : {"interp", "compiled", "auto"}) {
     ScopedEnv guard("STC_REPLAY", good);
     EXPECT_EQ(replay().value(), good);
   }
-  for (const char* bad : {"jit", "Interp", "compiled ", ""}) {
+  // The first value names an engine that no longer exists.
+  for (const char* bad : {"batched", "jit", "Interp", "compiled ", ""}) {
     ScopedEnv guard("STC_REPLAY", bad);
     const auto r = replay();
     expect_knob_error(r, "STC_REPLAY", bad);
-    EXPECT_NE(r.status().message().find("interp|batched|compiled|auto"),
+    EXPECT_NE(r.status().message().find("interp|compiled|auto"),
               std::string::npos);
   }
 }
@@ -377,17 +378,6 @@ TEST(EnvTest, MmapIsStrictlyBoolean) {
   }
   ScopedEnv guard("STC_MMAP", "yes");
   expect_knob_error(mmap_enabled(), "STC_MMAP", "yes");
-}
-
-TEST(EnvTest, PlanCacheDirMustExist) {
-  EXPECT_EQ(plan_cache_dir().value(), "");  // default: cache disabled
-  {
-    ScopedEnv guard("STC_PLAN_CACHE_DIR", ::testing::TempDir().c_str());
-    EXPECT_EQ(plan_cache_dir().value(), ::testing::TempDir());
-  }
-  ScopedEnv guard("STC_PLAN_CACHE_DIR", "/nonexistent/cache/dir");
-  expect_knob_error(plan_cache_dir(), "STC_PLAN_CACHE_DIR",
-                    "/nonexistent/cache/dir");
 }
 
 TEST(EnvTest, ValidateAllChecksShardKnobs) {
