@@ -301,10 +301,11 @@ const sim::ReplayPlan* plan_for(const trace::BlockTrace& trace,
 
 // One timed replay-throughput cell (bench/replay_throughput.cpp and the
 // schema-lock test). Runs the selected simulator over the triple in the
-// requested mode, timing the replay loop ("seconds", "events_per_sec") and —
-// for the compiled mode — the plan build ("plan_seconds"). The counters are
-// always cross-checked against an untimed interpreter run; a divergence
-// throws StatusError so the runner records the cell as failed.
+// requested mode `repeats` times and reports the fastest replay loop
+// ("seconds", "events_per_sec") and — for the compiled mode — the plan
+// build ("plan_seconds"). The counters are always cross-checked against an
+// untimed interpreter run; a divergence throws StatusError so the runner
+// records the cell as failed.
 enum class ReplaySimKind { kMissRate, kSequentiality, kSeq3, kTraceCache,
                            kBackend };
 const char* to_string(ReplaySimKind kind);
@@ -313,7 +314,8 @@ ExperimentResult measure_replay_cell(const trace::BlockTrace& trace,
                                      const cfg::AddressMap& layout,
                                      const sim::CacheGeometry& geometry,
                                      ReplaySimKind sim_kind,
-                                     sim::ReplayMode mode);
+                                     sim::ReplayMode mode,
+                                     std::uint32_t repeats = 1);
 
 // Convenience wrappers extracting the single headline metric.
 double miss_pct(Setup& setup, const cfg::AddressMap& layout,

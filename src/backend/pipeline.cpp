@@ -11,58 +11,10 @@ namespace {
 
 using sim::FetchPipe;
 
-// Produces the BackendOp for each completed basic block, in trace order.
-// Two modes behind one call: the interpreter path computes latency and
-// register names from the shared BackendSpec helpers; the plan path walks
-// the event slab in lockstep with the fetch stream and reads the values
-// from the compiled back-end tables when the plan carries them (plans built
-// without a back-end spec compute them from the same metadata). Identical results by
-// construction — the DCHECKs pin the lockstep.
-class OpSource {
- public:
-  explicit OpSource(const sim::BackendSpec& spec) : spec_(spec) {}
-  OpSource(const sim::BackendSpec& spec, const sim::ReplayPlan& plan)
-      : spec_(spec), plan_(&plan) {
-    if (plan.backend().valid()) {
-      // The plan cache keys on the spec fingerprint, so a plan with tables
-      // for a different config can only reach here through a caller bug.
-      STC_DCHECK(plan.backend().spec() == spec);
-      use_table_ = true;
-    }
-  }
-
-  BackendOp next(std::uint64_t block_start, std::uint32_t block_insns,
-                 cfg::BlockKind kind) {
-    BackendOp op;
-    op.addr = block_start;
-    op.insns = block_insns;
-    if (plan_ != nullptr) {
-      const cfg::BlockId b = plan_->slab()[cursor_++];
-      STC_DCHECK(plan_->meta().addr(b) == block_start);
-      STC_DCHECK(plan_->meta().insns(b) == block_insns);
-      if (use_table_) {
-        const sim::BackendTable& table = plan_->backend();
-        op.latency = table.latency(b);
-        op.dest = table.dest(b);
-        op.src1 = table.src1(b);
-        op.src2 = table.src2(b);
-        return op;
-      }
-    }
-    op.latency = sim::backend_op_latency(spec_, block_insns, kind);
-    sim::backend_op_regs(block_start, block_insns, &op.dest, &op.src1,
-                         &op.src2);
-    return op;
-  }
-
- private:
-  const sim::BackendSpec spec_;
-  const sim::ReplayPlan* plan_ = nullptr;
-  bool use_table_ = false;
-  std::size_t cursor_ = 0;
-};
-
-Result<BackendResult> run_pipe(FetchPipe& pipe, OpSource& source,
+// Decode emits one op per basic block when the block's last instruction
+// arrives (a block may straddle fetch groups); `ops` holds every block's
+// latency and register names.
+Result<BackendResult> run_pipe(FetchPipe& pipe, const sim::BackendTable& ops,
                                const sim::FetchParams& fetch_params,
                                const frontend::FrontEndParams& fe_params,
                                const BackendParams& backend_params,
@@ -81,11 +33,6 @@ Result<BackendResult> run_pipe(FetchPipe& pipe, OpSource& source,
   sim::Seq3Group group;
   std::uint64_t now = 0;
   std::uint64_t fetch_ready = 0;  // cycle the fetch unit is free again
-  // A basic block may straddle fetch groups (width or line limits); decode
-  // emits its op only once the block's last instruction arrives.
-  bool in_block = false;
-  std::uint64_t block_start = 0;
-  std::uint32_t block_insns = 0;
 
   while (!pipe.done() || !fifo.empty() || !backend.empty()) {
     backend.step(now);
@@ -108,16 +55,15 @@ Result<BackendResult> run_pipe(FetchPipe& pipe, OpSource& source,
         fetch_ready = now + 1 + stall;
         eng.run_ahead(pipe, fetch_ready);
         for (const FetchPipe::Insn& insn : group.insns) {
-          if (!in_block) {
-            in_block = true;
-            block_start = insn.addr;
-            block_insns = 0;
-          }
-          ++block_insns;
-          if (insn.block_end) {
-            fifo.push_back(source.next(block_start, block_insns, insn.kind));
-            in_block = false;
-          }
+          if (!insn.block_end) continue;
+          BackendOp op;
+          op.addr = pipe.meta().addr(insn.block);
+          op.insns = pipe.meta().insns(insn.block);
+          op.latency = ops.latency(insn.block);
+          op.dest = ops.dest(insn.block);
+          op.src1 = ops.src1(insn.block);
+          op.src2 = ops.src2(insn.block);
+          fifo.push_back(op);
         }
       } else {
         ++result.backend.frontend_stall_cycles;  // back-pressure on fetch
@@ -143,7 +89,6 @@ Result<BackendResult> run_pipe(FetchPipe& pipe, OpSource& source,
 
     ++now;
   }
-  STC_DCHECK(!in_block);  // blocks never end mid-trace (every block >= 1 insn)
   result.fetch.cycles = now;
   result.backend.cycles = now;
   return result;
@@ -159,9 +104,10 @@ Result<BackendResult> run_seq3_backend(const trace::BlockTrace& trace,
                                        const BackendParams& backend_params,
                                        sim::ICache* cache) {
   FetchPipe pipe(trace, image, layout);
-  OpSource source(backend_params.spec());
-  return run_pipe(pipe, source, fetch_params, fe_params, backend_params,
-                  cache);
+  sim::ReplayArena arena;
+  sim::BackendTable ops;
+  ops.build(pipe.meta(), backend_params.spec(), arena);
+  return run_pipe(pipe, ops, fetch_params, fe_params, backend_params, cache);
 }
 
 Result<BackendResult> run_seq3_backend(const sim::ReplayPlan& plan,
@@ -170,9 +116,16 @@ Result<BackendResult> run_seq3_backend(const sim::ReplayPlan& plan,
                                        const BackendParams& backend_params,
                                        sim::ICache* cache) {
   FetchPipe pipe(plan);
-  OpSource source(backend_params.spec(), plan);
-  return run_pipe(pipe, source, fetch_params, fe_params, backend_params,
-                  cache);
+  const sim::BackendSpec spec = backend_params.spec();
+  const sim::BackendTable* ops = &plan.backend();
+  // A plan built without back-end tables, or for another config.
+  sim::ReplayArena arena;
+  sim::BackendTable built;
+  if (!ops->valid() || ops->spec() != spec) {
+    built.build(plan.meta(), spec, arena);
+    ops = &built;
+  }
+  return run_pipe(pipe, *ops, fetch_params, fe_params, backend_params, cache);
 }
 
 }  // namespace stc::backend

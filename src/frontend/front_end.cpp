@@ -14,9 +14,8 @@ namespace {
 
 using sim::FetchPipe;
 
-// The SEQ.3 front-end loop, backend-agnostic: both run_seq3_frontend
-// overloads feed it a FetchPipe (interpreter- or plan-backed) and get
-// bit-identical counters.
+// The SEQ.3 front-end loop: both run_seq3_frontend overloads feed it a
+// FetchPipe (trace-built or plan-built) and get bit-identical counters.
 FrontEndResult run_seq3_frontend_pipe(FetchPipe& pipe,
                                       const sim::FetchParams& fetch_params,
                                       const FrontEndParams& fe_params,

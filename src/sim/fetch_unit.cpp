@@ -19,69 +19,69 @@ void FetchResult::export_counters(CounterSet& out) const {
 
 FetchPipe::FetchPipe(const trace::BlockTrace& trace,
                      const cfg::ProgramImage& image,
-                     const cfg::AddressMap& layout) {
-  stream_.emplace(trace, image, layout);
-  refill(1);
+                     const cfg::AddressMap& layout)
+    : trace_(&trace) {
+  own_meta_.build(image, layout, arena_);
+  meta_ = &own_meta_;
+  ahead(0);
 }
 
-FetchPipe::FetchPipe(const ReplayPlan& plan) : plan_(&plan) {
-  refill(1);
-}
+FetchPipe::FetchPipe(const ReplayPlan& plan)
+    : events_(plan.slab().data()),
+      count_(plan.slab().size()),
+      meta_(&plan.meta()) {}
 
-void FetchPipe::refill(std::uint32_t needed_insns) {
-  while (!stream_done_ && buffered_insns_ < needed_insns) {
-    trace::BlockRun run;
-    if (plan_ != nullptr) {
-      if (next_event_ >= plan_->num_events()) {
-        stream_done_ = true;
-        break;
-      }
-      plan_->make_run(next_event_++, run);
-    } else if (!stream_->next(run)) {
-      stream_done_ = true;
-      break;
+bool FetchPipe::decode_until(std::size_t j) {
+  if (trace_ == nullptr) return false;
+  while (index_ + j >= buffer_.size()) {
+    if (next_chunk_ >= trace_->num_chunks()) return false;
+    // Drop the consumed events before growing the buffer.
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(index_));
+    index_ = 0;
+    const std::size_t first_new = buffer_.size();
+    trace_->decode_chunk(next_chunk_++, buffer_);
+    for (std::size_t i = first_new; i < buffer_.size(); ++i) {
+      STC_CHECK_MSG(buffer_[i] < meta_->size(),
+                    "trace names blocks outside the program image");
     }
-    buffered_insns_ += run.insns;
-    buffer_.push_back(run);
+    events_ = buffer_.data();
+    count_ = buffer_.size();
   }
-}
-
-std::uint64_t FetchPipe::addr() const {
-  STC_REQUIRE(!buffer_.empty());
-  const trace::BlockRun& front = buffer_.front();
-  return front.addr + std::uint64_t{front_offset_} * cfg::kInsnBytes;
+  return true;
 }
 
 bool FetchPipe::peek(std::uint32_t k, Insn& out) {
-  refill(front_offset_ + k + 1);
-  std::uint64_t index = front_offset_ + k;
-  for (const trace::BlockRun& run : buffer_) {
-    if (index >= run.insns) {
-      index -= run.insns;
-      continue;
-    }
-    out.addr = run.addr + index * cfg::kInsnBytes;
-    out.block_end = index + 1 == run.insns;
-    out.is_branch = out.block_end && run.ends_in_branch;
-    out.taken = out.block_end && run.has_next && run.taken;
-    out.kind = run.kind;
-    return true;
+  std::uint64_t pos = std::uint64_t{offset_} + k;
+  std::size_t j = 0;
+  for (;; ++j) {
+    if (!ahead(j)) return false;
+    const std::uint32_t insns = meta_->insns(events_[index_ + j]);
+    if (pos < insns) break;
+    pos -= insns;
   }
-  return false;
+  const cfg::BlockId b = events_[index_ + j];
+  out.addr = meta_->addr(b) + pos * cfg::kInsnBytes;
+  out.block = b;
+  out.block_end = pos + 1 == meta_->insns(b);
+  out.is_branch = out.block_end && meta_->ends_in_branch(b);
+  out.taken = out.block_end && ahead(j + 1) &&
+              meta_->addr(events_[index_ + j + 1]) != meta_->end_addr(b);
+  out.kind = meta_->kind(b);
+  return true;
 }
 
 void FetchPipe::consume(std::uint32_t n) {
-  refill(front_offset_ + n);
-  STC_REQUIRE(buffered_insns_ >= front_offset_ + n);
-  front_offset_ += n;
-  while (!buffer_.empty() && front_offset_ >= buffer_.front().insns) {
-    front_offset_ -= buffer_.front().insns;
-    buffered_insns_ -= buffer_.front().insns;
-    buffer_.pop_front();
+  std::uint64_t pos = std::uint64_t{offset_} + n;
+  // Advancing to the next event also decodes it, so done() is exact.
+  while (ahead(0)) {
+    const std::uint32_t insns = meta_->insns(events_[index_]);
+    if (pos < insns) break;
+    pos -= insns;
+    ++index_;
   }
-  // Keep at least one unconsumed instruction buffered (when the stream has
-  // more) so done() reflects true exhaustion.
-  refill(front_offset_ + 1);
+  STC_REQUIRE(pos == 0 || !done());
+  offset_ = static_cast<std::uint32_t>(pos);
 }
 
 Seq3Cycle seq3_fetch_cycle(FetchPipe& pipe, const FetchParams& params,
@@ -118,8 +118,8 @@ Seq3Cycle seq3_fetch_cycle(FetchPipe& pipe, const FetchParams& params,
 
 namespace {
 
-// The simulation proper, backend-agnostic: both run_seq3 overloads feed it
-// a FetchPipe and get bit-identical counters.
+// The simulation proper: both run_seq3 overloads feed it a FetchPipe
+// (trace-built or plan-built) and get bit-identical counters.
 FetchResult run_seq3_pipe(FetchPipe& pipe, const FetchParams& params,
                           ICache* cache) {
   STC_REQUIRE(params.perfect_icache || cache != nullptr);

@@ -11,31 +11,33 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <vector>
 
 #include "cfg/address_map.h"
 #include "cfg/program.h"
 #include "sim/icache.h"
-#include "trace/fetch_stream.h"
+#include "sim/replay.h"
+#include "support/check.h"
+#include "trace/block_trace.h"
 
 namespace stc::sim {
 
-class ReplayPlan;  // sim/replay.h
-
 // Instruction-granular cursor over the dynamic path with bounded lookahead.
-// Shared by the sequential fetch unit and the trace cache simulator.
+// Shared by the sequential fetch unit, the trace cache, the speculative
+// front end and the back-end pipeline.
 //
-// Two interchangeable backends feed it: the interpreter's BlockRunStream, or
-// a pre-built ReplayPlan whose make_run() materializes the identical
-// BlockRun values from flat tables. Everything downstream of refill() is the
-// same code either way, which is what makes the compiled mode bit-identical
-// to the interpreter by construction.
+// The pipe walks a run of block ids and reads every per-block fact (address,
+// size, kind, end address) from a BlockMetaTable. The plan-built pipe
+// borrows a ReplayPlan's event slab and table. The trace-built pipe builds
+// its own table for (image, layout) and decodes the trace one chunk at a
+// time as the lookahead needs it, dropping consumed events, so its memory
+// stays about one chunk. Both run the same peek/consume code, which is why
+// STC_REPLAY=interp and compiled agree on every simulator built on the pipe.
 class FetchPipe {
  public:
   struct Insn {
     std::uint64_t addr = 0;
+    cfg::BlockId block = 0;  // its basic block
     bool block_end = false;  // last instruction of its basic block
     bool is_branch = false;  // block_end of a branch/call/return block
     bool taken = false;      // block_end whose transition is non-sequential
@@ -45,9 +47,19 @@ class FetchPipe {
   FetchPipe(const trace::BlockTrace& trace, const cfg::ProgramImage& image,
             const cfg::AddressMap& layout);
   explicit FetchPipe(const ReplayPlan& plan);
+  FetchPipe(const FetchPipe&) = delete;
+  FetchPipe& operator=(const FetchPipe&) = delete;
 
-  bool done() const { return buffer_.empty(); }
-  std::uint64_t addr() const;  // current instruction address; requires !done()
+  // The per-block facts the pipe reads (the plan's, or the pipe's own).
+  const BlockMetaTable& meta() const { return *meta_; }
+
+  bool done() const { return index_ >= count_; }
+  // Current instruction address; requires !done().
+  std::uint64_t addr() const {
+    STC_REQUIRE(!done());
+    return meta_->addr(events_[index_]) +
+           std::uint64_t{offset_} * cfg::kInsnBytes;
+  }
 
   // Looks `k` instructions ahead (k == 0 is the current instruction).
   // Returns false if the trace ends before that instruction.
@@ -57,15 +69,24 @@ class FetchPipe {
   void consume(std::uint32_t n);
 
  private:
-  void refill(std::uint32_t needed_insns);
+  // True when the event `j` places after the current one is available,
+  // decoding further chunks of a trace-built pipe as needed.
+  bool ahead(std::size_t j) { return index_ + j < count_ || decode_until(j); }
+  bool decode_until(std::size_t j);
 
-  std::optional<trace::BlockRunStream> stream_;  // interpreter backend
-  const ReplayPlan* plan_ = nullptr;             // compiled backend
-  std::uint64_t next_event_ = 0;                 // plan cursor
-  std::deque<trace::BlockRun> buffer_;
-  std::uint32_t front_offset_ = 0;  // instructions consumed of buffer_.front()
-  std::uint64_t buffered_insns_ = 0;
-  bool stream_done_ = false;
+  const cfg::BlockId* events_ = nullptr;
+  std::size_t count_ = 0;
+  const BlockMetaTable* meta_ = nullptr;
+  std::size_t index_ = 0;     // current event
+  std::uint32_t offset_ = 0;  // instructions consumed of events_[index_]
+
+  // Trace-built pipe only: the trace, the next chunk to decode, the decoded
+  // but not yet consumed events, and the pipe's own metadata table.
+  const trace::BlockTrace* trace_ = nullptr;
+  std::size_t next_chunk_ = 0;
+  std::vector<cfg::BlockId> buffer_;
+  ReplayArena arena_;
+  BlockMetaTable own_meta_;
 };
 
 struct FetchParams {

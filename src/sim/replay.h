@@ -1,29 +1,29 @@
 // Compiled trace replay.
 //
-// The interpreter path (trace::BlockRunStream and the per-event Cursor) pays
-// a varint decode, two map lookups and a virtual-free-but-branchy state
-// machine for every dynamic block. This module trades that for a one-time
-// build: the whole BlockTrace is decoded chunk-by-chunk into one contiguous
-// event slab, and the static per-block facts every simulator asks for
-// (address, size, branch-ness, kind, end address) are resolved once into
+// The interpreter paths pay a varint decode and layout/image lookups for
+// every dynamic block. This module trades that for a one-time build: the
+// whole BlockTrace is decoded chunk-by-chunk into one contiguous event slab,
+// and the static per-block facts every simulator asks for (address, size,
+// branch-ness, kind, end address) are resolved once into
 // structure-of-arrays tables allocated from a bump arena. The replay inner
 // loops then index flat arrays instead of re-deriving the same answers per
 // event.
 //
 // Two modes, selected with STC_REPLAY (validated in src/support/env):
-//   interp   - the original per-event streams.
+//   interp   - no plan. The miss rate and sequentiality run their
+//              per-event streams; SEQ.3, the trace cache, the front end and
+//              the back end run the same FetchPipe loop as compiled mode,
+//              fed one decoded chunk at a time (sim/fetch_unit.h).
 //   compiled - slab + SoA metadata, plus per-block cache-line membership
 //              (first/last line index under a fixed line size) and the
 //              trace-cache word index pre-resolved into flat tables keyed by
 //              block id, so the Table 3 inner loop is table lookups plus
-//              counter updates. Simulators without a table-driven loop
-//              consume the same BlockRun values the interpreter would
-//              produce, via shared code paths.
+//              counter updates. The FetchPipe simulators walk the slab.
 //   auto     - the fastest mode (compiled).
 //
 // Both modes are required to produce counters bit-identical to each other
-// and, for the miss rate and SEQ.3, to the naive reference model
-// (verify/reference.h). verify::check_replay_modes proves both, and
+// and, for the miss rate, SEQ.3 and the trace cache, to the naive reference
+// model (verify/reference.h). verify::check_replay_modes proves both, and
 // tools/stc_fuzz --replay-diff hunts for divergences; the STC_VERIFY=1
 // bench path re-checks every planned cell against the interpreter. The
 // compiled-table build runs through faultpoint "replay.compile" so
@@ -113,8 +113,8 @@ class ReplayArena {
   std::size_t bytes_allocated_ = 0;
 };
 
-// Structure-of-arrays static-block metadata: everything BlockRunStream
-// derives per event, resolved once per (image, layout).
+// Structure-of-arrays static-block metadata: the per-block facts the
+// simulators read per event, resolved once per (image, layout).
 class BlockMetaTable {
  public:
   void build(const cfg::ProgramImage& image, const cfg::AddressMap& layout,
@@ -165,7 +165,7 @@ class EventSlab {
 // from the block's size and event class (call/return ops pay an extra
 // memory-latency charge) and whose register names derive deterministically
 // from the block's layout address. The spec lives here — not in
-// src/backend — because compiled plans pre-resolve these per-block values
+// src/backend — because BackendTable pre-resolves these per-block values
 // into flat tables, and sim must not depend on the back-end library.
 struct BackendSpec {
   bool enabled = false;
@@ -217,9 +217,7 @@ inline std::uint32_t backend_op_latency(const BackendSpec& spec,
 }
 
 // Synthetic register names for the op of a block at layout address `addr`.
-// One fixed pure function of (addr, insns) — the interpreter path computes
-// it per event, the compiled tables bake it in, and equality of the two is
-// what check_replay_modes proves.
+// One fixed pure function of (addr, insns), baked into BackendTable.
 inline void backend_op_regs(std::uint64_t addr, std::uint32_t insns,
                             std::uint8_t* dest, std::uint8_t* src1,
                             std::uint8_t* src2) {
@@ -253,11 +251,12 @@ class CompiledTable {
   const std::uint64_t* word_index_ = nullptr;
 };
 
-// Compiled back-end tables keyed by block id: op latency and synthetic
-// register names, pre-resolved under one BackendSpec. The spec is stored so
-// a consumer can detect (and the DCHECK in run_seq3_backend does detect) a
-// plan built for a different back-end config — the stale-plan hazard the
-// ReplayPlanCache key's backend fingerprint component exists to prevent.
+// Back-end tables keyed by block id: op latency and synthetic register
+// names, pre-resolved under one BackendSpec. The only caller of
+// backend_op_latency/backend_op_regs outside tests: the back-end pipeline
+// reads every op from a table (a plan's, or one built per run). The spec is
+// stored so run_seq3_backend can tell a plan built for a different back-end
+// config and build a fresh table instead.
 class BackendTable {
  public:
   void build(const BlockMetaTable& meta, const BackendSpec& spec,
@@ -289,26 +288,6 @@ class ReplayPlan {
   const BlockMetaTable& meta() const { return meta_; }
   const CompiledTable& compiled() const { return compiled_; }
   const BackendTable& backend() const { return backend_; }
-
-  // Materializes event `i` as exactly the BlockRun the interpreter's
-  // BlockRunStream would produce — the contract the shared FetchPipe and
-  // every differential oracle rest on.
-  void make_run(std::uint64_t i, trace::BlockRun& out) const {
-    const cfg::BlockId b = (*slab_)[static_cast<std::size_t>(i)];
-    out.addr = meta_.addr(b);
-    out.insns = meta_.insns(b);
-    out.ends_in_branch = meta_.ends_in_branch(b);
-    out.kind = meta_.kind(b);
-    if (i + 1 < slab_->size()) {
-      out.has_next = true;
-      out.next_addr = meta_.addr((*slab_)[static_cast<std::size_t>(i + 1)]);
-      out.taken = out.next_addr != meta_.end_addr(b);
-    } else {
-      out.has_next = false;
-      out.taken = false;
-      out.next_addr = 0;
-    }
-  }
 
  private:
   friend Result<ReplayPlan> build_replay_plan(

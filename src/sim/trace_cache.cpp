@@ -55,8 +55,8 @@ void TraceCache::commit_fill() {
 
 namespace {
 
-// The simulation proper, backend-agnostic: both run_trace_cache overloads
-// feed it a FetchPipe and get bit-identical counters.
+// The simulation proper: both run_trace_cache overloads feed it a FetchPipe
+// (trace-built or plan-built) and get bit-identical counters.
 FetchResult run_trace_cache_pipe(FetchPipe& pipe, const FetchParams& params,
                                  const TraceCacheParams& tc_params,
                                  ICache* cache) {
@@ -67,6 +67,7 @@ FetchResult run_trace_cache_pipe(FetchPipe& pipe, const FetchParams& params,
 
   TraceCache tc(tc_params);
   FetchResult result;
+  Seq3Group group;  // what the i-cache path supplied, for the fill buffer
   while (!pipe.done()) {
     const std::uint64_t fetch_addr = pipe.addr();
     if (const std::uint32_t hit_len = tc.probe(fetch_addr, pipe)) {
@@ -91,16 +92,8 @@ FetchResult run_trace_cache_pipe(FetchPipe& pipe, const FetchParams& params,
     // Miss: the sequential unit fetches from the i-cache while the fill
     // buffer constructs a new trace starting at this address.
     if (!tc.fill_active()) tc.begin_fill(fetch_addr);
-    // Snapshot the upcoming instructions for the fill buffer before the
-    // cycle consumes them.
-    std::vector<FetchPipe::Insn> supplied_insns;
-    {
-      FetchPipe::Insn peeked;
-      for (std::uint32_t k = 0; k < params.width && pipe.peek(k, peeked); ++k) {
-        supplied_insns.push_back(peeked);
-      }
-    }
-    const Seq3Cycle cycle = seq3_fetch_cycle(pipe, params, line_bytes);
+    group.insns.clear();
+    const Seq3Cycle cycle = seq3_fetch_cycle(pipe, params, line_bytes, &group);
     result.instructions += cycle.supplied;
     ++result.fetch_requests;
     ++result.cycles;
@@ -117,9 +110,7 @@ FetchResult run_trace_cache_pipe(FetchPipe& pipe, const FetchParams& params,
                              : params.miss_penalty;
       }
     }
-    for (std::uint32_t k = 0; k < cycle.supplied; ++k) {
-      tc.fill_push(supplied_insns[k]);
-    }
+    for (const FetchPipe::Insn& insn : group.insns) tc.fill_push(insn);
   }
   result.tc_fills = tc.stored_traces();
   result.tc_probes = tc.probes();

@@ -308,6 +308,24 @@ Report run_case(const FuzzCase& c, Injection injection) {
   return all;
 }
 
+namespace {
+
+std::uint64_t case_salt(const FuzzCase& c) {
+  return c.num_blocks() * 7 + c.trace.size() * 5 + c.line_bytes;
+}
+
+// The case's cache with 1, 2 or 4 ways picked by `salt`, fewer where the
+// cache would otherwise have no set, so the differential fuzzers hold the
+// production set-associative LRU to the reference model too.
+sim::CacheGeometry salted_geometry(const FuzzCase& c, std::uint64_t salt) {
+  const auto bytes = static_cast<std::uint32_t>(c.cache_bytes);
+  std::uint32_t ways = std::uint32_t{1} << ((salt / 6) % 3);
+  while (ways > 1 && bytes / (c.line_bytes * ways) == 0) ways /= 2;
+  return {bytes, c.line_bytes, ways};
+}
+
+}  // namespace
+
 Report run_replay_diff(const FuzzCase& c) {
   Report all;
   std::string why;
@@ -316,15 +334,14 @@ Report run_replay_diff(const FuzzCase& c) {
     return all;
   }
   const BuiltCase built = build_case(c);
-  const sim::CacheGeometry geometry{
-      static_cast<std::uint32_t>(c.cache_bytes), c.line_bytes, 1};
-  // Back-end configuration derived deterministically from the case content
-  // so the corpus sweeps machine shapes (kind, IQ/ROB depths, cost model)
-  // as well as program shapes — shrinking a divergence keeps its config
-  // only as long as the content that produced it survives.
+  // Back-end configuration and cache associativity derived deterministically
+  // from the case content so the corpus sweeps machine shapes (kind, IQ/ROB
+  // depths, cost model, ways) as well as program shapes — shrinking a
+  // divergence keeps its config only as long as the content that produced
+  // it survives.
+  const std::uint64_t salt = case_salt(c);
+  const sim::CacheGeometry geometry = salted_geometry(c, salt);
   backend::BackendParams bp;
-  const std::uint64_t salt =
-      c.num_blocks() * 7 + c.trace.size() * 5 + c.line_bytes;
   bp.kind = (salt % 2 == 0) ? backend::BackendKind::kOoo
                             : backend::BackendKind::kInOrder;
   bp.iq_depth = 2 + static_cast<std::uint32_t>(salt % 30);
@@ -351,14 +368,13 @@ Report run_multitenant_diff(const FuzzCase& c) {
   }
   const BuiltCase built = build_case(c);
   const cfg::ProgramImage& image = *built.image;
-  const sim::CacheGeometry geometry{
-      static_cast<std::uint32_t>(c.cache_bytes), c.line_bytes, 1};
 
   // Composer shape derived deterministically from the case content, like
-  // run_replay_diff's machine shape: tenant count, quantum and arrival
-  // model all sweep with the corpus and shrink with the content.
-  const std::uint64_t salt =
-      c.num_blocks() * 7 + c.trace.size() * 5 + c.line_bytes;
+  // run_replay_diff's machine shape: tenant count, quantum, arrival model
+  // and cache associativity all sweep with the corpus and shrink with the
+  // content.
+  const std::uint64_t salt = case_salt(c);
+  const sim::CacheGeometry geometry = salted_geometry(c, salt);
   const std::uint32_t tenants = 1 + static_cast<std::uint32_t>(salt % 4);
   workload::ComposeParams params;
   switch (salt % 3) {
@@ -448,8 +464,8 @@ Report run_multitenant_diff(const FuzzCase& c) {
     }
   }
 
-  // The composed trace must replay bit-identically across all three
-  // engines, like any recorded trace.
+  // The composed trace must replay bit-identically in both engines and
+  // match the reference model, like any recorded trace.
   for (core::LayoutKind kind :
        {core::LayoutKind::kOrig, core::LayoutKind::kStcOps}) {
     cfg::AddressMap layout =

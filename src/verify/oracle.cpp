@@ -892,7 +892,6 @@ namespace {
 // the reference model also produces.
 struct ModeCounters : ReferenceCounters {
   CounterSet seq;
-  CounterSet tc;
   CounterSet fe_seq3;
   CounterSet fe_tc;
   CounterSet be;
@@ -1049,13 +1048,12 @@ Report check_replay_modes(const trace::BlockTrace& trace,
     }
   }
 
-  // The miss rate and SEQ.3 are held to the reference model (which the
-  // interpreter matched above); the rest to the interpreter.
+  // The miss rate, SEQ.3 and the trace cache are held to the reference
+  // model (which the interpreter matched above); the rest to the
+  // interpreter.
   report.merge(check_against_reference(reference, got, image, m));
   report.merge(check_counters_equal(interp.seq, got.seq,
                                     "sequentiality[" + m + "]"));
-  report.merge(check_counters_equal(interp.tc, got.tc,
-                                    "trace_cache[" + m + "]"));
   report.merge(check_counters_equal(interp.fe_seq3, got.fe_seq3,
                                     "seq3+frontend[" + m + "]"));
   report.merge(check_counters_equal(interp.fe_tc, got.fe_tc,
@@ -1079,6 +1077,11 @@ ReferenceCounters reference_counters(const trace::BlockTrace& trace,
       reference_seq3(trace, image, layout, sim::FetchParams{}, geometry);
   seq3.result.export_counters(out.seq3);
   seq3.cache.export_counters(out.seq3);
+  const ReferenceTraceCache tc =
+      reference_trace_cache(trace, image, layout, sim::FetchParams{},
+                            sim::TraceCacheParams{}, geometry);
+  tc.result.export_counters(out.tc);
+  tc.cache.export_counters(out.tc);
   return out;
 }
 
@@ -1092,6 +1095,8 @@ Report check_against_reference(const ReferenceCounters& reference,
                                     "missrate[" + m + " vs reference]"));
   report.merge(check_counters_equal(reference.seq3, production.seq3,
                                     "seq3[" + m + " vs reference]"));
+  report.merge(check_counters_equal(reference.tc, production.tc,
+                                    "trace_cache[" + m + " vs reference]"));
   if (production.per_block != reference.per_block) {
     std::size_t where = 0;
     while (where < reference.per_block.size() &&

@@ -176,12 +176,14 @@ backend::BackendParams replay_diff_backend();
 
 // The counters the naive reference model (verify/reference.h) covers, in
 // the production simulators' export order: the miss rate (MissRateResult
-// then CacheStats), its per-block miss attribution, and SEQ.3 under
-// FetchParams{} (FetchResult then CacheStats).
+// then CacheStats), its per-block miss attribution, SEQ.3 under
+// FetchParams{} and the trace cache under TraceCacheParams{} (each
+// FetchResult then CacheStats).
 struct ReferenceCounters {
   CounterSet miss;
   std::vector<std::uint64_t> per_block;
   CounterSet seq3;
+  CounterSet tc;
 };
 
 // Runs the reference model over the triple.
@@ -201,8 +203,8 @@ Report check_against_reference(const ReferenceCounters& reference,
 // sequentiality, SEQ.3, trace cache, the speculative front end, and the
 // back-end pipeline — in the interp and compiled replay modes
 // (sim/replay.h) and requires the counters to be bit-identical across
-// modes; the miss rate and SEQ.3 of both modes must also match the naive
-// reference model. Any divergence is a replay-engine bug. `backend_params`
+// modes; the miss rate, SEQ.3 and the trace cache of both modes must also
+// match the naive reference model. Any divergence is a replay-engine bug. `backend_params`
 // overrides the back-end configuration (replay_diff_backend() when null);
 // the interp back-end run additionally passes check_backend_result.
 Report check_replay_modes(const trace::BlockTrace& trace,

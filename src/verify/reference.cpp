@@ -78,6 +78,44 @@ class NaiveCache {
   sim::CacheStats stats_;
 };
 
+// One SEQ.3 cycle starting at path[next]: fetches from that instruction's
+// line and the line after it, at most `params.width` instructions, stopping
+// after the first taken transfer or the `params.max_branches`-th control
+// transfer, and charges the cycle to `out`. Returns the instructions
+// supplied.
+std::size_t seq3_cycle(const std::vector<Insn>& path, std::size_t next,
+                       const sim::FetchParams& params,
+                       std::uint64_t line_bytes, NaiveCache& cache,
+                       sim::FetchResult& out) {
+  const std::uint64_t line = path[next].addr / line_bytes;
+  const std::uint64_t second_line_start = (line + 1) * line_bytes;
+  const std::uint64_t fetch_end = (line + 2) * line_bytes;
+  std::size_t fetched = 0;
+  std::uint32_t transfers = 0;
+  bool reached_second_line = false;
+  while (fetched < params.width && next + fetched < path.size()) {
+    const Insn& insn = path[next + fetched];
+    if (insn.addr >= fetch_end) break;
+    ++fetched;
+    if (insn.addr >= second_line_start) reached_second_line = true;
+    if (insn.control) ++transfers;
+    if (insn.taken || transfers >= params.max_branches) break;
+  }
+  out.instructions += fetched;
+  ++out.fetch_requests;
+  ++out.cycles;
+  if (params.perfect_icache) return fetched;
+  std::uint32_t missing = cache.access(line) ? 0 : 1;
+  if (reached_second_line && !cache.access(line + 1)) ++missing;
+  if (missing == 0) return fetched;
+  ++out.miss_requests;
+  out.lines_missed += missing;
+  out.cycles += params.penalty_per_line
+                    ? std::uint64_t{params.miss_penalty} * missing
+                    : params.miss_penalty;
+  return fetched;
+}
+
 }  // namespace
 
 ReferenceMissRate reference_missrate(const trace::BlockTrace& trace,
@@ -117,38 +155,69 @@ ReferenceSeq3 reference_seq3(const trace::BlockTrace& trace,
   STC_REQUIRE(params.width > 0);
   ReferenceSeq3 out;
   NaiveCache cache(geometry);
-  const std::uint64_t line_bytes = geometry.line_bytes;
   const std::vector<Insn> path = instruction_path(trace, image, layout);
   std::size_t next = 0;
   while (next < path.size()) {
-    const std::uint64_t line = path[next].addr / line_bytes;
-    const std::uint64_t second_line_start = (line + 1) * line_bytes;
-    const std::uint64_t fetch_end = (line + 2) * line_bytes;
-    std::uint32_t fetched = 0;
-    std::uint32_t transfers = 0;
-    bool reached_second_line = false;
-    while (fetched < params.width && next < path.size()) {
-      const Insn& insn = path[next];
-      if (insn.addr >= fetch_end) break;
-      ++fetched;
-      ++next;
-      if (insn.addr >= second_line_start) reached_second_line = true;
-      if (insn.control) ++transfers;
-      if (insn.taken || transfers >= params.max_branches) break;
+    next += seq3_cycle(path, next, params, geometry.line_bytes, cache,
+                       out.result);
+  }
+  out.cache = cache.stats();
+  return out;
+}
+
+ReferenceTraceCache reference_trace_cache(const trace::BlockTrace& trace,
+                                          const cfg::ProgramImage& image,
+                                          const cfg::AddressMap& layout,
+                                          const sim::FetchParams& params,
+                                          const sim::TraceCacheParams& tc,
+                                          const sim::CacheGeometry& geometry) {
+  STC_REQUIRE(params.width > 0 && tc.width > 0 && tc.entries > 0);
+  ReferenceTraceCache out;
+  NaiveCache cache(geometry);
+  const std::vector<Insn> path = instruction_path(trace, image, layout);
+  // Each entry's stored addresses, its start first; empty = invalid.
+  std::vector<std::vector<std::uint64_t>> entries(tc.entries);
+  const auto entry_of = [&](std::uint64_t addr) -> std::vector<std::uint64_t>& {
+    return entries[(addr / cfg::kInsnBytes) % tc.entries];
+  };
+  bool filling = false;
+  std::vector<std::uint64_t> fill;
+  std::uint32_t fill_transfers = 0;
+  std::size_t next = 0;
+  while (next < path.size()) {
+    const std::vector<std::uint64_t>& entry = entry_of(path[next].addr);
+    bool hit = !entry.empty() && next + entry.size() <= path.size();
+    for (std::size_t k = 0; hit && k < entry.size(); ++k) {
+      hit = path[next + k].addr == entry[k];
     }
-    out.result.instructions += fetched;
-    ++out.result.fetch_requests;
-    ++out.result.cycles;
-    if (params.perfect_icache) continue;
-    std::uint32_t missing = cache.access(line) ? 0 : 1;
-    if (reached_second_line && !cache.access(line + 1)) ++missing;
-    if (missing == 0) continue;
-    ++out.result.miss_requests;
-    out.result.lines_missed += missing;
-    out.result.cycles +=
-        params.penalty_per_line
-            ? std::uint64_t{params.miss_penalty} * missing
-            : params.miss_penalty;
+    ++out.result.tc_probes;
+    std::size_t supplied = 0;
+    if (hit) {
+      ++out.result.tc_hits;
+      supplied = entry.size();
+      out.result.instructions += supplied;
+      ++out.result.fetch_requests;
+      ++out.result.cycles;
+    } else {
+      ++out.result.tc_misses;
+      if (!filling) {
+        filling = true;
+        fill.clear();
+        fill_transfers = 0;
+      }
+      supplied = seq3_cycle(path, next, params, geometry.line_bytes, cache,
+                            out.result);
+    }
+    for (std::size_t k = 0; filling && k < supplied; ++k) {
+      fill.push_back(path[next + k].addr);
+      if (path[next + k].control) ++fill_transfers;
+      if (fill.size() >= tc.width || fill_transfers >= tc.max_branches) {
+        entry_of(fill.front()) = fill;
+        ++out.result.tc_fills;
+        filling = false;
+      }
+    }
+    next += supplied;
   }
   out.cache = cache.stats();
   return out;

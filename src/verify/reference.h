@@ -1,5 +1,5 @@
 // Naive reference model for the Table 3 miss rate and the Table 4 SEQ.3
-// fetch unit.
+// fetch unit, alone and behind a trace cache.
 //
 // The production simulators (src/sim) are fast and come in two engines —
 // the per-event interpreter and compiled replay plans — that are checked
@@ -13,7 +13,7 @@
 // Covered configurations: direct-mapped and set-associative caches with
 // true LRU replacement (no victim cache), and SEQ.3 with perfect branch
 // prediction in all three miss-charging modes (per request, per line,
-// perfect I-cache).
+// perfect I-cache), with or without a direct-mapped trace cache.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +23,7 @@
 #include "cfg/program.h"
 #include "sim/fetch_unit.h"
 #include "sim/icache.h"
+#include "sim/trace_cache.h"
 #include "trace/block_trace.h"
 
 namespace stc::verify {
@@ -60,5 +61,28 @@ ReferenceSeq3 reference_seq3(const trace::BlockTrace& trace,
                              const cfg::AddressMap& layout,
                              const sim::FetchParams& params,
                              const sim::CacheGeometry& geometry);
+
+// Table 4 SEQ.3 behind a direct-mapped trace cache, perfect prediction.
+// Entry (addr / kInsnBytes) mod `tc.entries` holds the addresses of one
+// stored trace, its start first. A cycle hits when the entry indexed by the
+// next instruction starts there and the next instructions of the path are
+// exactly its stored addresses; the hit supplies them all in one cycle with
+// no I-cache probe. Any other cycle is a miss and runs reference_seq3's
+// cycle, opening a fill at its first instruction unless one is open. Every
+// supplied instruction, hit or miss, joins the open fill, which is written
+// to the entry of its first address once it holds `tc.width` instructions or
+// `tc.max_branches` control transfers. A fill still open when the path ends
+// is never written.
+struct ReferenceTraceCache {
+  sim::FetchResult result;
+  sim::CacheStats cache;
+};
+
+ReferenceTraceCache reference_trace_cache(const trace::BlockTrace& trace,
+                                          const cfg::ProgramImage& image,
+                                          const cfg::AddressMap& layout,
+                                          const sim::FetchParams& params,
+                                          const sim::TraceCacheParams& tc,
+                                          const sim::CacheGeometry& geometry);
 
 }  // namespace stc::verify

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "backend/pipeline.h"
 #include "cfg/builder.h"
+#include "sim/replay.h"
+#include "sim/trace_cache.h"
+#include "support/rng.h"
+#include "testing/synthetic.h"
+#include "verify/oracle.h"
 
 namespace stc::sim {
 namespace {
@@ -54,6 +60,114 @@ TEST(FetchPipeTest, AddrAdvancesWithinBlock) {
   EXPECT_EQ(pipe.addr(), 4u);
   pipe.consume(2);
   EXPECT_EQ(pipe.addr(), 12u);
+}
+
+// The trace-built pipe decodes one chunk at a time; the plan-built pipe
+// walks the whole slab. Over a trace several chunks long they must yield
+// the same instructions, and the simulators on top the same counters.
+TEST(FetchPipeTest, ChunkFedMatchesSlabFedAcrossChunks) {
+  Rng rng(2718);
+  const auto image = testing::random_image(rng, 40);
+  const trace::BlockTrace trace = testing::random_trace(*image, rng, 150000);
+  const cfg::AddressMap layout = cfg::AddressMap::original(*image);
+  ASSERT_GT(trace.num_chunks(), 2u);
+
+  // Some chunk must end in a taken transfer, so the pipe decodes the next
+  // chunk to know the last instruction's `taken` flag.
+  std::size_t taken_boundaries = 0;
+  for (std::size_t c = 0; c + 1 < trace.num_chunks(); ++c) {
+    std::vector<cfg::BlockId> tail;
+    std::vector<cfg::BlockId> head;
+    trace.decode_chunk(c, tail);
+    trace.decode_chunk(c + 1, head);
+    const cfg::BlockId last = tail.back();
+    if (layout.addr(head.front()) != layout.end_addr(*image, last)) {
+      ++taken_boundaries;
+    }
+  }
+  ASSERT_GT(taken_boundaries, 0u);
+
+  const backend::BackendParams bp = verify::replay_diff_backend();
+  auto built = build_replay_plan(ReplayMode::kCompiled, trace, *image, layout,
+                                 64, bp.spec());
+  ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+  const ReplayPlan& plan = built.value();
+
+  FetchPipe chunked(trace, *image, layout);
+  FetchPipe slab(plan);
+  std::uint64_t step = 0;
+  while (!slab.done()) {
+    ASSERT_FALSE(chunked.done());
+    ASSERT_EQ(chunked.addr(), slab.addr());
+    std::uint32_t available = 0;
+    for (std::uint32_t k = 0; k < 48; ++k) {
+      FetchPipe::Insn a;
+      FetchPipe::Insn b;
+      const bool ok = slab.peek(k, b);
+      ASSERT_EQ(chunked.peek(k, a), ok) << "step " << step << " k " << k;
+      if (!ok) break;
+      available = k + 1;
+      ASSERT_EQ(a.addr, b.addr);
+      ASSERT_EQ(a.block, b.block);
+      ASSERT_EQ(a.block_end, b.block_end);
+      ASSERT_EQ(a.is_branch, b.is_branch);
+      ASSERT_EQ(a.taken, b.taken) << "step " << step << " k " << k;
+      ASSERT_EQ(a.kind, b.kind);
+    }
+    const std::uint32_t n =
+        std::min<std::uint32_t>(available, 1 + step % 23);
+    chunked.consume(n);
+    slab.consume(n);
+    ++step;
+  }
+  EXPECT_TRUE(chunked.done());
+
+  const CacheGeometry geometry{4096, 64, 2};
+  const FetchParams params;
+  const auto counters = [&](const auto& run) {
+    CounterSet out;
+    ICache cache(geometry);
+    run(cache).export_counters(out);
+    cache.stats().export_counters(out);
+    return out;
+  };
+  const auto same = [](const CounterSet& a, const CounterSet& b,
+                       const char* what) {
+    const verify::Report r = verify::check_counters_equal(a, b, what);
+    EXPECT_TRUE(r.ok()) << r.summary();
+  };
+  same(counters([&](ICache& c) {
+         return run_seq3(trace, *image, layout, params, &c);
+       }),
+       counters([&](ICache& c) { return run_seq3(plan, params, &c); }),
+       "seq3");
+  const TraceCacheParams tc;
+  same(counters([&](ICache& c) {
+         return run_trace_cache(trace, *image, layout, params, tc, &c);
+       }),
+       counters([&](ICache& c) {
+         return run_trace_cache(plan, params, tc, &c);
+       }),
+       "trace_cache");
+  const frontend::FrontEndParams perfect;
+  const auto backend_counters = [&](const auto& run) {
+    ICache cache(geometry);
+    const Result<backend::BackendResult> r = run(cache);
+    EXPECT_TRUE(r.is_ok()) << r.status().to_string();
+    CounterSet out;
+    r.value().fetch.export_counters(out);
+    r.value().backend.export_counters(out);
+    cache.stats().export_counters(out);
+    return out;
+  };
+  same(backend_counters([&](ICache& c) {
+         return backend::run_seq3_backend(trace, *image, layout, params,
+                                          perfect, bp, &c);
+       }),
+       backend_counters([&](ICache& c) {
+         return backend::run_seq3_backend(plan, params, perfect, bp, &c);
+       }),
+       "backend");
 }
 
 TEST(Seq3Test, SuppliesUpTo16SequentialInstructions) {

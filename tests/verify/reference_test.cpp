@@ -1,5 +1,6 @@
 // The naive reference model (verify/reference.h) against counts worked out
-// by hand on a tiny program, and the oracle's comparison against it
+// by hand on a tiny program (the trace-cache cases also hold the production
+// simulator to them), and the oracle's comparison against it
 // reporting a production counter that was tampered with.
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "cfg/builder.h"
 #include "sim/fetch_unit.h"
 #include "sim/icache.h"
+#include "sim/trace_cache.h"
 #include "support/rng.h"
 #include "testing/synthetic.h"
 #include "trace/block_trace.h"
@@ -154,6 +156,92 @@ TEST(ReferenceModelTest, Seq3StopsAtTheBranchAndWidthLimits) {
   EXPECT_EQ(width.result.fetch_requests, 3u);
 }
 
+// Trace-cache runs over hand_program() with 64-byte lines and a perfect
+// I-cache, so only the trace cache decides how many cycles a run takes. The
+// path of one b0 b1 b3 b2 round (addresses; * = control transfer):
+//   b0 0 4 8 12*   b1 24 28 32 36   b3 40 44*   b2 64 68 72*
+// b0, b3 and b2 end in taken transfers; b1 falls into b3.
+struct TraceCacheRun {
+  ReferenceTraceCache reference;
+  sim::FetchResult production;
+};
+
+TraceCacheRun run_both(const HandProgram& p, const trace::BlockTrace& trace,
+                       const sim::TraceCacheParams& tc) {
+  sim::FetchParams params;
+  params.perfect_icache = true;
+  TraceCacheRun run;
+  run.reference = reference_trace_cache(trace, *p.image, p.layout, params, tc,
+                                        {1024, 64, 1});
+  run.production =
+      sim::run_trace_cache(trace, *p.image, p.layout, params, tc, nullptr);
+  return run;
+}
+
+// The counters both models must agree on, with the hand-computed values.
+void expect_tc(const TraceCacheRun& run, std::uint64_t instructions,
+               std::uint64_t hits, std::uint64_t misses, std::uint64_t fills) {
+  for (const sim::FetchResult& r : {run.reference.result, run.production}) {
+    EXPECT_EQ(r.instructions, instructions);
+    EXPECT_EQ(r.tc_hits, hits);
+    EXPECT_EQ(r.tc_misses, misses);
+    EXPECT_EQ(r.tc_fills, fills);
+    EXPECT_EQ(r.tc_probes, hits + misses);
+    EXPECT_EQ(r.fetch_requests, hits + misses);
+    EXPECT_EQ(r.cycles, hits + misses);  // perfect I-cache: no stalls
+  }
+  EXPECT_EQ(run.reference.cache.accesses, 0u);
+}
+
+TEST(ReferenceTraceCacheTest, FillCommitsAtTheBranchLimitAndHitSuppliesIt) {
+  const HandProgram p = hand_program();
+  // Round 1 misses three times (0..12, 24..44, 64..72); the fill opened at
+  // 0 takes all 13 instructions and commits on 72, its third transfer.
+  // Round 2 hits at 0 and gets all 13 in one cycle.
+  const TraceCacheRun run =
+      run_both(p, make_trace({0, 1, 3, 2, 0, 1, 3, 2}), {});
+  expect_tc(run, 26, 1, 3, 1);
+}
+
+TEST(ReferenceTraceCacheTest, FillCommitsAtTheWidthLimit) {
+  const HandProgram p = hand_program();
+  sim::TraceCacheParams tc;
+  tc.width = 8;
+  // Round 1: the fill opened at 0 commits on 36, its eighth instruction
+  // (40 and 44 stay out); the miss at 64 opens a fill there.
+  // Round 2: 0 hits with 0..36, which also completes the fill at 64 on its
+  // eighth instruction (64 68 72 0 4 8 12 24). Then 40 misses and opens a
+  // fill; 64 misses because its stored trace runs past the end of the path.
+  const TraceCacheRun run =
+      run_both(p, make_trace({0, 1, 3, 2, 0, 1, 3, 2}), tc);
+  expect_tc(run, 26, 1, 5, 2);
+}
+
+TEST(ReferenceTraceCacheTest, IndexCollisionEvicts) {
+  const HandProgram p = hand_program();
+  sim::TraceCacheParams tc;
+  tc.max_branches = 1;  // one trace per block run: 0..12, 24..44, 64..72
+  const trace::BlockTrace trace = make_trace({0, 1, 3, 2, 0, 1, 3, 2});
+  // 256 entries: round 1 stores three traces, round 2 hits all three.
+  expect_tc(run_both(p, trace, tc), 26, 3, 3, 3);
+  // 16 entries: 0 and 64 both index entry 0, so each evicts the other and
+  // only the trace at 24 survives to hit in round 2.
+  tc.entries = 16;
+  expect_tc(run_both(p, trace, tc), 26, 1, 5, 5);
+}
+
+TEST(ReferenceTraceCacheTest, PathMismatchIsAMiss) {
+  const HandProgram p = hand_program();
+  // Round 1 stores 0..12 24..44 64..72 at entry 0. Round 2 starts at 0 too
+  // but b0 branches to b3 this time (0..12 40 44 64..72): the stored path
+  // diverges at its fifth instruction, so the probe misses, and the fill
+  // opened there replaces the entry. Round 3 takes round 1's path again and
+  // misses on round 2's trace the same way. No probe runs off the path's end.
+  const TraceCacheRun run =
+      run_both(p, make_trace({0, 1, 3, 2, 0, 3, 2, 0, 1, 3, 2}), {});
+  expect_tc(run, 35, 0, 9, 3);
+}
+
 // The comparison check_replay_modes runs per engine: clean on honest
 // production counters, and a finding for each counter tampered with.
 TEST(ReferenceCheckTest, PerturbedProductionCounterIsReported) {
@@ -175,6 +263,13 @@ TEST(ReferenceCheckTest, PerturbedProductionCounterIsReported) {
     sim::run_seq3(trace, *image, layout, sim::FetchParams{}, &cache)
         .export_counters(production.seq3);
     cache.stats().export_counters(production.seq3);
+  }
+  {
+    sim::ICache cache(geometry);
+    sim::run_trace_cache(trace, *image, layout, sim::FetchParams{},
+                         sim::TraceCacheParams{}, &cache)
+        .export_counters(production.tc);
+    cache.stats().export_counters(production.tc);
   }
   const ReferenceCounters reference =
       reference_counters(trace, *image, layout, geometry);
@@ -199,6 +294,16 @@ TEST(ReferenceCheckTest, PerturbedProductionCounterIsReported) {
   EXPECT_NE(r2.summary().find("seq3[compiled vs reference]: cycles"),
             std::string::npos)
       << r2.summary();
+
+  ReferenceCounters fills = production;
+  fills.tc.add("tc_fills", 1);
+  const Report r4 =
+      check_against_reference(reference, fills, *image, "compiled");
+  ASSERT_FALSE(r4.ok());
+  EXPECT_NE(
+      r4.summary().find("trace_cache[compiled vs reference]: tc_fills"),
+      std::string::npos)
+      << r4.summary();
 
   // Moving one miss between blocks keeps every total but breaks the
   // attribution.
