@@ -78,6 +78,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -299,23 +300,43 @@ const sim::ReplayPlan* plan_for(const trace::BlockTrace& trace,
                                 std::uint32_t line_bytes,
                                 const sim::BackendSpec& backend);
 
-// One timed replay-throughput cell (bench/replay_throughput.cpp and the
-// schema-lock test). Runs the selected simulator over the triple in the
-// requested mode `repeats` times and reports the fastest replay loop
-// ("seconds", "events_per_sec") and — for the compiled mode — the plan
-// build ("plan_seconds"). The counters are always cross-checked against an
-// untimed interpreter run; a divergence throws StatusError so the runner
-// records the cell as failed.
+// One simulator's two timed replay-throughput cells, interp and compiled
+// (bench/replay_throughput.cpp and the schema-lock test). The first cell()
+// call builds the compiled plan ("plan_seconds") and then runs the two
+// engines' replay loops alternately, five rounds, so both sides of a
+// speedup ratio see the same host phases; each engine reports its fastest
+// loop ("seconds", "events_per_sec"). A cell's counters are cross-checked
+// against an untimed interpreter run; a divergence or a failed plan build
+// throws StatusError so the runner records that cell as failed. Keeps
+// references to its arguments.
 enum class ReplaySimKind { kMissRate, kSequentiality, kSeq3, kTraceCache,
                            kBackend };
 const char* to_string(ReplaySimKind kind);
-ExperimentResult measure_replay_cell(const trace::BlockTrace& trace,
-                                     const cfg::ProgramImage& image,
-                                     const cfg::AddressMap& layout,
-                                     const sim::CacheGeometry& geometry,
-                                     ReplaySimKind sim_kind,
-                                     sim::ReplayMode mode,
-                                     std::uint32_t repeats = 1);
+class ReplayCellPair {
+ public:
+  ReplayCellPair(const trace::BlockTrace& trace,
+                 const cfg::ProgramImage& image, const cfg::AddressMap& layout,
+                 const sim::CacheGeometry& geometry, ReplaySimKind sim_kind);
+
+  // The interp cell, or the compiled one for any plan-backed mode.
+  ExperimentResult cell(sim::ReplayMode mode);
+
+ private:
+  void measure();
+
+  const trace::BlockTrace& trace_;
+  const cfg::ProgramImage& image_;
+  const cfg::AddressMap& layout_;
+  const sim::CacheGeometry geometry_;
+  const ReplaySimKind sim_kind_;
+  std::mutex mu_;
+  bool measured_ = false;
+  Status plan_status_;
+  double plan_seconds_ = 0.0;
+  double seconds_[2] = {};   // fastest loop: [interp, compiled]
+  CounterSet counters_[2];   // the last round's counters, same order
+  CounterSet expected_;      // the untimed interpreter run
+};
 
 // Convenience wrappers extracting the single headline metric.
 double miss_pct(Setup& setup, const cfg::AddressMap& layout,

@@ -2,13 +2,14 @@
 // the full back-end pipeline ("backend", fixed default-ooo machine) — under
 // the interp and compiled replay engines over the pinned Test trace.
 //
-// Every cell times its own replay loop as the best of kRepeats runs (the
-// same count in both modes, so a speedup ratio compares like with like),
-// times the plan build for plan-backed modes, and then re-runs the
-// interpreter untimed to prove the counters are bit-identical — a cell that
-// diverges is recorded as a failed job, never as a throughput number. The
-// grid runs on a single worker so the timings are not distorted by sibling
-// cells.
+// A simulator's interp and compiled cells are measured together
+// (bench::ReplayCellPair): the two engines' replay loops alternate for five
+// rounds and each reports its fastest, so a speedup ratio compares runs
+// that saw the same host phases. The plan build is timed for the compiled
+// cell, and an untimed interpreter run proves the counters bit-identical —
+// a cell that diverges is recorded as a failed job, never as a throughput
+// number. The grid runs on a single worker so the timings are not
+// distorted by sibling cells.
 //
 // tools/perf_gate.py consumes this bench's BENCH_replay_throughput.json:
 // it checks the compiled speedup ratios over interp against
@@ -20,19 +21,13 @@
 // gate records its events/sec without a ratio.
 #include <chrono>
 #include <cstdio>
+#include <deque>
 #include <vector>
 
 #include "bench/common.h"
 #include "support/check.h"
 #include "support/env.h"
 #include "workload/composer.h"
-
-namespace {
-
-// Replay runs per cell; the fastest one is reported.
-constexpr std::uint32_t kRepeats = 5;
-
-}  // namespace
 
 int main() {
   using namespace stc;
@@ -60,20 +55,19 @@ int main() {
                                         bench::ReplaySimKind::kBackend};
   constexpr std::size_t kNumKinds = std::size(kinds);
 
-  // jobs[kind][mode]
+  // jobs[kind][mode]; pairs outlive runner.run().
+  std::deque<bench::ReplayCellPair> pairs;
   std::size_t jobs[kNumKinds][kNumModes];
   for (std::size_t k = 0; k < kNumKinds; ++k) {
+    const bench::ReplaySimKind kind = kinds[k];
+    bench::ReplayCellPair& pair = pairs.emplace_back(
+        setup.test_trace(), setup.image(), layout, geometry, kind);
     for (std::size_t m = 0; m < kNumModes; ++m) {
-      const bench::ReplaySimKind kind = kinds[k];
       const sim::ReplayMode mode = modes[m];
       jobs[k][m] = runner.add(
           std::string(bench::to_string(kind)) + " " + sim::to_string(mode),
           {{"sim", bench::to_string(kind)}, {"mode", sim::to_string(mode)}},
-          [&setup, &layout, geometry, kind, mode] {
-            return bench::measure_replay_cell(setup.test_trace(),
-                                              setup.image(), layout, geometry,
-                                              kind, mode, kRepeats);
-          });
+          [&pair, mode] { return pair.cell(mode); });
     }
   }
 
@@ -129,18 +123,16 @@ int main() {
         result.counters().add("blocks", r.value().trace.num_events());
         return result;
       });
+  bench::ReplayCellPair& compose_pair =
+      pairs.emplace_back(composed.trace, setup.image(), layout, geometry,
+                         bench::ReplaySimKind::kMissRate);
   std::size_t compose_jobs[kNumModes];
   for (std::size_t m = 0; m < kNumModes; ++m) {
     const sim::ReplayMode mode = modes[m];
     compose_jobs[m] = runner.add(
         std::string("compose ") + sim::to_string(mode),
         {{"sim", "compose"}, {"mode", sim::to_string(mode)}},
-        [&setup, &layout, geometry, &composed, mode] {
-          return bench::measure_replay_cell(composed.trace, setup.image(),
-                                            layout, geometry,
-                                            bench::ReplaySimKind::kMissRate,
-                                            mode, kRepeats);
-        });
+        [&compose_pair, mode] { return compose_pair.cell(mode); });
   }
   // Single worker: the cells time themselves, so they must not compete for
   // cores with sibling jobs.

@@ -118,10 +118,13 @@ Result<BackendResult> run_seq3_backend(const sim::ReplayPlan& plan,
   FetchPipe pipe(plan);
   const sim::BackendSpec spec = backend_params.spec();
   const sim::BackendTable* ops = &plan.backend();
-  // A plan built without back-end tables, or for another config.
+  // The plan cache keys on the spec fingerprint, so a plan with tables for
+  // a different config can only reach here through a caller bug. A plan
+  // built without back-end tables gets them for this run.
+  STC_DCHECK(!ops->valid() || ops->spec() == spec);
   sim::ReplayArena arena;
   sim::BackendTable built;
-  if (!ops->valid() || ops->spec() != spec) {
+  if (!ops->valid()) {
     built.build(plan.meta(), spec, arena);
     ops = &built;
   }

@@ -4,7 +4,7 @@
 // The real bench grids simulator x replay-mode over the pinned Test trace;
 // this lock rebuilds the same report shape deterministically from a small
 // synthetic program, driving the exact measurement cell the bench uses
-// (bench::measure_replay_cell): every cell carries events_per_sec and
+// (bench::ReplayCellPair): every cell carries events_per_sec and
 // seconds, plan-backed cells add plan_seconds, and the counters are the
 // simulator's real export including the "blocks" event count that schema
 // v3's throughput.events_per_sec is derived from. tools/perf_gate.py parses
@@ -12,6 +12,7 @@
 //   STC_UPDATE_GOLDEN=1 ./build/tests/stc_verify_test --gtest_filter=ReplaySchemaTest.*
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
 #include <string>
 
@@ -81,15 +82,15 @@ std::string build_report() {
                                         bench::ReplaySimKind::kSequentiality,
                                         bench::ReplaySimKind::kSeq3,
                                         bench::ReplaySimKind::kTraceCache};
+  std::deque<bench::ReplayCellPair> pairs;
   for (const bench::ReplaySimKind kind : kinds) {
+    bench::ReplayCellPair& pair =
+        pairs.emplace_back(trace, *image, layout, geometry, kind);
     for (const sim::ReplayMode mode : modes) {
       runner.add(
           std::string(bench::to_string(kind)) + " " + sim::to_string(mode),
           {{"sim", bench::to_string(kind)}, {"mode", sim::to_string(mode)}},
-          [&, kind, mode] {
-            return bench::measure_replay_cell(trace, *image, layout, geometry,
-                                              kind, mode);
-          });
+          [&pair, mode] { return pair.cell(mode); });
     }
   }
   runner.run(1);
