@@ -200,78 +200,80 @@ ExperimentResult measure_miss(const trace::BlockTrace& trace,
   return result;
 }
 
+std::vector<sim::MissRateResult> tenant_missrates(
+    const workload::ComposedTrace& composed, const cfg::ProgramImage& image,
+    const cfg::AddressMap& layout, const sim::CacheGeometry& geometry) {
+  const trace::BlockTrace& trace = composed.trace;
+  sim::ReplayArena arena;
+  sim::BlockMetaTable meta;
+  meta.build(image, layout, arena);
+  sim::ICache cache(geometry);
+  std::vector<sim::MissRateResult> per(composed.tenant_events.size());
+  // One carried state across every span, so the per-tenant sums equal one
+  // plain pass over the composed trace; spans end at chunk and at segment
+  // boundaries, whichever comes first.
+  sim::replay_detail::MissSpanState state;
+  std::size_t seg = 0;
+  std::uint64_t seg_left =
+      composed.segments.empty() ? 0 : composed.segments[0].events;
+  std::vector<cfg::BlockId> chunk;
+  for (std::size_t c = 0; c < trace.num_chunks(); ++c) {
+    chunk.clear();
+    sim::decode_checked_chunk(trace, c, meta, chunk);
+    for (std::size_t pos = 0; pos < chunk.size();) {
+      while (seg_left == 0 && seg + 1 < composed.segments.size()) {
+        seg_left = composed.segments[++seg].events;
+      }
+      STC_CHECK_MSG(seg_left > 0, "composed trace outruns its segments");
+      const std::size_t n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(seg_left, chunk.size() - pos));
+      sim::replay_detail::missrate_span(
+          chunk.data() + pos, n, meta, nullptr, geometry.line_bytes, cache,
+          nullptr, sim::ReplayKernel::kScalar, state,
+          per[composed.segments[seg].tenant]);
+      pos += n;
+      seg_left -= n;
+    }
+  }
+  return per;
+}
+
 ExperimentResult measure_tenant_miss(const workload::ComposedTrace& composed,
                                      const cfg::ProgramImage& image,
                                      const cfg::AddressMap& layout,
                                      const sim::CacheGeometry& geometry) {
   const trace::BlockTrace& trace = composed.trace;
   if (verify_enabled()) verify_triple(trace, image, layout);
-  const std::uint32_t line = geometry.line_bytes;
-  sim::ICache cache(geometry);
-  struct TenantStats {
-    std::uint64_t instructions = 0;
-    std::uint64_t accesses = 0;
-    std::uint64_t misses = 0;
-  };
-  std::vector<TenantStats> per(composed.tenant_events.size());
-  TenantStats total;
-  // Mirrors sim::run_missrate line-crossing semantics exactly (the aggregate
-  // counters must equal a plain run over the composed trace); the extra
-  // state is the provenance-segment cursor selecting the charged tenant.
-  trace::BlockRunStream stream(trace, image, layout);
-  trace::BlockRun run;
-  std::size_t seg = 0;
-  std::uint64_t seg_left =
-      composed.segments.empty() ? 0 : composed.segments[0].events;
-  std::uint64_t prev_line = ~std::uint64_t{0};
-  while (stream.next(run)) {
-    while (seg_left == 0 && seg + 1 < composed.segments.size()) {
-      seg_left = composed.segments[++seg].events;
-    }
-    STC_CHECK_MSG(seg_left > 0, "composed trace outruns its segments");
-    --seg_left;
-    TenantStats& t = per[composed.segments[seg].tenant];
-    t.instructions += run.insns;
-    total.instructions += run.insns;
-    const std::uint64_t first = run.addr / line;
-    const std::uint64_t last = (run.end_addr() - 1) / line;
-    for (std::uint64_t l = first; l <= last; ++l) {
-      if (l == prev_line) continue;
-      ++t.accesses;
-      ++total.accesses;
-      if (!cache.access(l * line)) {
-        ++t.misses;
-        ++total.misses;
-      }
-      prev_line = l;
-    }
+  const std::vector<sim::MissRateResult> per =
+      tenant_missrates(composed, image, layout, geometry);
+  sim::MissRateResult total;
+  for (const sim::MissRateResult& t : per) {
+    total.instructions += t.instructions;
+    total.line_accesses += t.line_accesses;
+    total.misses += t.misses;
   }
   if (verify_enabled()) {
-    // Independent recount: the attributed totals must match a plain
-    // run_missrate pass over the same trace with a fresh cache.
+    // The attributed totals must match a plain run_missrate pass over the
+    // same trace with a fresh cache.
     sim::ICache ref(geometry);
     const auto r = sim::run_missrate(trace, image, layout, ref);
     STC_CHECK_MSG(r.instructions == total.instructions &&
-                      r.line_accesses == total.accesses &&
+                      r.line_accesses == total.line_accesses &&
                       r.misses == total.misses,
                   "tenant-attributed counters diverge from run_missrate");
   }
-  auto pct = [](const TenantStats& t) {
-    return t.instructions == 0 ? 0.0
-                               : 100.0 * static_cast<double>(t.misses) /
-                                     static_cast<double>(t.instructions);
-  };
   ExperimentResult result;
-  result.metric("miss_pct", pct(total));
+  result.metric("miss_pct", total.misses_per_100_insns());
   double worst = 0.0;
   for (std::size_t i = 0; i < per.size(); ++i) {
-    result.metric("miss_pct_t" + std::to_string(i), pct(per[i]));
+    result.metric("miss_pct_t" + std::to_string(i),
+                  per[i].misses_per_100_insns());
     result.counters().add("t" + std::to_string(i) + "_misses", per[i].misses);
-    worst = std::max(worst, pct(per[i]));
+    worst = std::max(worst, per[i].misses_per_100_insns());
   }
   result.metric("worst_miss_pct", worst);
   result.counters().add("instructions", total.instructions);
-  result.counters().add("line_accesses", total.accesses);
+  result.counters().add("line_accesses", total.line_accesses);
   result.counters().add("misses", total.misses);
   result.counters().add("blocks", trace.num_events());
   return result;

@@ -230,11 +230,18 @@ ExperimentResult measure_seq3_backend(const trace::BlockTrace& trace,
 // Tenant-attributed miss rate over a composed multi-tenant trace
 // (src/workload): one pass through a shared cache, attributing every line
 // probe, miss and instruction to the tenant whose provenance segment covers
-// the event. Metrics: "miss_pct" (aggregate, equal to measure_miss on the
-// composed trace), "miss_pct_t<i>" per tenant, and "worst_miss_pct" (the
-// highest per-tenant rate) — the fairness number the tenant-partitioned CFA
-// targets. Under STC_VERIFY the per-tenant counters are re-summed against
-// an independent run_missrate pass.
+// the event. The composed trace is decoded one chunk at a time and each
+// segment's events go through sim's missrate_span. Indexed by tenant; the
+// sums equal run_missrate over the composed trace.
+std::vector<sim::MissRateResult> tenant_missrates(
+    const workload::ComposedTrace& composed, const cfg::ProgramImage& image,
+    const cfg::AddressMap& layout, const sim::CacheGeometry& geometry);
+
+// The bench cell over tenant_missrates. Metrics: "miss_pct" (aggregate,
+// equal to measure_miss on the composed trace), "miss_pct_t<i>" per tenant,
+// and "worst_miss_pct" (the highest per-tenant rate) — the fairness number
+// the tenant-partitioned CFA targets. Under STC_VERIFY the per-tenant
+// counters are re-summed against a plain run_missrate pass.
 ExperimentResult measure_tenant_miss(const workload::ComposedTrace& composed,
                                      const cfg::ProgramImage& image,
                                      const cfg::AddressMap& layout,

@@ -9,8 +9,9 @@
 // bounded by the chunk size while the file scales freely. Grid:
 //
 //   sim  = stream_missrate_xK | stream_seq_xK
-//   mode = interp   (scalar span kernel, line math from the meta table)
-//        | compiled (8-wide SIMD kernel over pre-resolved line tables)
+//   mode = interp   (scalar span kernels, line math from the meta table)
+//        | compiled (pre-resolved line tables for the miss rate, the
+//                    8-wide SIMD kernel for sequentiality)
 //
 // Every compiled cell re-runs its scalar streamed twin untimed and requires
 // bit-identical counters; the K=1 cells additionally cross-check against the
@@ -113,7 +114,7 @@ int main() {
   });
 
   // jobs[factor][sim][mode]: sim 0 = missrate, 1 = sequentiality;
-  // mode 0 = interp (scalar), 1 = compiled (SIMD + tables).
+  // mode 0 = interp (scalar), 1 = compiled (tables / SIMD).
   std::size_t jobs[std::size(factors)][2][2];
   for (std::size_t f = 0; f < std::size(factors); ++f) {
     const std::uint32_t factor = factors[f];
@@ -143,8 +144,8 @@ int main() {
             if (!streamed.is_ok()) throw StatusError(streamed.status());
             const sim::MissRateResult result = streamed.value();
             if (compiled) {
-              // The timed SIMD+tables pass must match the scalar streamed
-              // reference bit for bit.
+              // The timed pass over the line tables must match the streamed
+              // pass over meta-derived line bounds bit for bit.
               sim::ICache ref_cache(geometry);
               auto ref = sim::replay_missrate_streamed(
                   reader, plan.meta(), nullptr, ref_cache,
@@ -254,7 +255,8 @@ int main() {
   std::printf(
       "\nStreamed replay decodes one chunk at a time off the mapped file and\n"
       "releases its pages behind the pass; peak RSS stays bounded while the\n"
-      "trace scales x100. Compiled rows run the 8-wide SIMD kernels.\n");
+      "trace scales x100. Compiled rows read the line tables (miss rate)\n"
+      "and run the 8-wide SIMD kernel (sequentiality).\n");
 
   return bench::write_report(runner);
 }

@@ -114,7 +114,9 @@ std::string format_date(std::int64_t days) {
   int m = 0;
   int d = 0;
   ymd_from_date(days, y, m, d);
-  char buf[16];
+  // Room for the widest output: three 11-character ints ("-2147483648"),
+  // two dashes and the terminator.
+  char buf[3 * 11 + 2 + 1];
   std::snprintf(buf, sizeof buf, "%04d-%02d-%02d", y, m, d);
   return buf;
 }

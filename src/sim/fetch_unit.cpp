@@ -39,12 +39,7 @@ bool FetchPipe::decode_until(std::size_t j) {
     buffer_.erase(buffer_.begin(),
                   buffer_.begin() + static_cast<std::ptrdiff_t>(index_));
     index_ = 0;
-    const std::size_t first_new = buffer_.size();
-    trace_->decode_chunk(next_chunk_++, buffer_);
-    for (std::size_t i = first_new; i < buffer_.size(); ++i) {
-      STC_CHECK_MSG(buffer_[i] < meta_->size(),
-                    "trace names blocks outside the program image");
-    }
+    decode_checked_chunk(*trace_, next_chunk_++, *meta_, buffer_);
     events_ = buffer_.data();
     count_ = buffer_.size();
   }

@@ -1,6 +1,6 @@
 #include "sim/icache.h"
 
-#include "trace/fetch_stream.h"
+#include "sim/replay.h"
 
 namespace stc::sim {
 
@@ -40,10 +40,10 @@ void ICache::reset() {
   stats_ = CacheStats{};
 }
 
-bool ICache::probe_victim(std::uint64_t line, std::uint64_t* promoted_from) {
+bool ICache::probe_victim(std::uint64_t line, std::uint64_t* slot) {
   for (std::size_t i = 0; i < victim_tags_.size(); ++i) {
     if (victim_tags_[i] == line) {
-      *promoted_from = i;
+      *slot = i;
       return true;
     }
   }
@@ -69,40 +69,11 @@ bool ICache::access(std::uint64_t addr) {
     }
   }
 
-  // Choose the LRU way of the set as the fill/eviction slot.
-  std::uint32_t victim_way = 0;
-  for (std::uint32_t way = 1; way < geometry_.assoc; ++way) {
-    if (lru_[base + way] < lru_[base + victim_way]) victim_way = way;
+  if (fill(line, base)) {
+    ++stats_.victim_hits;
+    return notify(true);
   }
-  const std::uint64_t evicted = tags_[base + victim_way];
-
-  // Victim-cache rescue: swap the requested line back into the main cache
-  // and demote the evicted line into the victim slot it occupied.
-  if (!victim_tags_.empty()) {
-    std::uint64_t slot = 0;
-    if (probe_victim(line, &slot)) {
-      ++stats_.victim_hits;
-      victim_tags_[slot] = evicted;
-      victim_lru_[slot] = lru_clock_;
-      tags_[base + victim_way] = line;
-      lru_[base + victim_way] = lru_clock_;
-      return notify(true);
-    }
-  }
-
   ++stats_.misses;
-  tags_[base + victim_way] = line;
-  lru_[base + victim_way] = lru_clock_;
-
-  // Demote the evicted line into the victim cache (LRU replacement there).
-  if (!victim_tags_.empty() && evicted != kInvalidTag) {
-    std::size_t slot = 0;
-    for (std::size_t i = 1; i < victim_tags_.size(); ++i) {
-      if (victim_lru_[i] < victim_lru_[slot]) slot = i;
-    }
-    victim_tags_[slot] = evicted;
-    victim_lru_[slot] = lru_clock_;
-  }
   return notify(false);
 }
 
@@ -116,36 +87,35 @@ bool ICache::prefetch_fill(std::uint64_t addr) {
   for (std::uint32_t way = 0; way < geometry_.assoc; ++way) {
     if (tags_[base + way] == line) return true;
   }
-
   ++lru_clock_;
+  return fill(line, base);
+}
+
+bool ICache::fill(std::uint64_t line, std::size_t base) {
+  // The LRU way of the set is the fill/eviction slot.
   std::uint32_t victim_way = 0;
   for (std::uint32_t way = 1; way < geometry_.assoc; ++way) {
     if (lru_[base + way] < lru_[base + victim_way]) victim_way = way;
   }
   const std::uint64_t evicted = tags_[base + victim_way];
-
-  if (!victim_tags_.empty()) {
-    std::uint64_t slot = 0;
-    if (probe_victim(line, &slot)) {
-      victim_tags_[slot] = evicted;
-      victim_lru_[slot] = lru_clock_;
-      tags_[base + victim_way] = line;
-      lru_[base + victim_way] = lru_clock_;
-      return true;
-    }
-  }
-
   tags_[base + victim_way] = line;
   lru_[base + victim_way] = lru_clock_;
-  if (!victim_tags_.empty() && evicted != kInvalidTag) {
-    std::size_t slot = 0;
+  if (victim_tags_.empty()) return false;
+
+  // Victim-cache rescue: the evicted line takes the slot the requested line
+  // is promoted from. Otherwise it is demoted into the victim cache's LRU
+  // slot.
+  std::uint64_t slot = 0;
+  const bool rescued = probe_victim(line, &slot);
+  if (!rescued) {
+    if (evicted == kInvalidTag) return false;
     for (std::size_t i = 1; i < victim_tags_.size(); ++i) {
       if (victim_lru_[i] < victim_lru_[slot]) slot = i;
     }
-    victim_tags_[slot] = evicted;
-    victim_lru_[slot] = lru_clock_;
   }
-  return false;
+  victim_tags_[slot] = evicted;
+  victim_lru_[slot] = lru_clock_;
+  return rescued;
 }
 
 bool ICache::contains(std::uint64_t addr) const {
@@ -169,28 +139,20 @@ MissRateResult run_missrate(const trace::BlockTrace& trace,
   if (per_block_misses != nullptr) {
     per_block_misses->assign(image.num_blocks(), 0);
   }
-  const std::uint32_t line = cache.geometry().line_bytes;
-  trace::BlockRunStream stream(trace, image, layout);
-  // Track the block id alongside the run for attribution.
-  trace::BlockTrace::Cursor ids(trace);
-  trace::BlockRun run;
-  std::uint64_t prev_line = ~std::uint64_t{0};
-  while (stream.next(run)) {
-    const cfg::BlockId block = ids.next();
-    result.instructions += run.insns;
-    const std::uint64_t first = run.addr / line;
-    const std::uint64_t last = (run.end_addr() - 1) / line;
-    for (std::uint64_t l = first; l <= last; ++l) {
-      // Consecutive instructions on one line probe the cache once; a line
-      // re-entered after leaving (even the same line) probes again.
-      if (l == prev_line) continue;
-      ++result.line_accesses;
-      if (!cache.access(l * line)) {
-        ++result.misses;
-        if (per_block_misses != nullptr) ++(*per_block_misses)[block];
-      }
-      prev_line = l;
-    }
+  ReplayArena arena;
+  BlockMetaTable meta;
+  meta.build(image, layout, arena);
+  // One chunk in memory at a time; the carried state keeps a line that a
+  // chunk's first event re-enters from probing twice.
+  replay_detail::MissSpanState state;
+  std::vector<cfg::BlockId> chunk;
+  for (std::size_t c = 0; c < trace.num_chunks(); ++c) {
+    chunk.clear();
+    decode_checked_chunk(trace, c, meta, chunk);
+    replay_detail::missrate_span(chunk.data(), chunk.size(), meta, nullptr,
+                                 cache.geometry().line_bytes, cache,
+                                 per_block_misses, ReplayKernel::kScalar,
+                                 state, result);
   }
   return result;
 }

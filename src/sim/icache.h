@@ -85,8 +85,15 @@ class ICache {
     return addr / geometry_.line_bytes;
   }
 
-  // Returns true if found (and promotes in LRU order).
-  bool probe_victim(std::uint64_t line, std::uint64_t* evicted_slot);
+  // Returns true if `line` is in the victim cache, with its slot.
+  bool probe_victim(std::uint64_t line, std::uint64_t* slot);
+
+  // The fill path shared by access() misses and prefetch_fill(): installs
+  // `line` in the LRU way of the set starting at `base`, stamped with the
+  // current lru_clock_. Returns true when the line came out of the victim
+  // cache (the evicted line takes its slot); otherwise the evicted line is
+  // demoted into the victim cache. Touches no stats.
+  bool fill(std::uint64_t line, std::size_t base);
 
   CacheGeometry geometry_;
   std::uint32_t sets_;
@@ -122,10 +129,13 @@ struct MissRateResult {
 };
 
 // Streams every executed instruction of the trace (under `layout`) through
-// the cache, touching each line once per crossing. When `per_block_misses`
-// is non-null it is resized to the block count and accumulates each miss
-// against the block whose instructions triggered it (the paper's per-module
-// miss attribution, Section 4 / tech report UPC-DAC-1998-56).
+// the cache, touching each line once per crossing. The trace is decoded one
+// chunk at a time into replay_detail::missrate_span (sim/replay.h), so
+// memory stays about one chunk plus a per-block table. When
+// `per_block_misses` is non-null it is resized to the block count and
+// accumulates each miss against the block whose instructions triggered it
+// (the paper's per-module miss attribution, Section 4 / tech report
+// UPC-DAC-1998-56).
 MissRateResult run_missrate(const trace::BlockTrace& trace,
                             const cfg::ProgramImage& image,
                             const cfg::AddressMap& layout, ICache& cache,

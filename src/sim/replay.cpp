@@ -7,12 +7,12 @@
 #include "support/env.h"
 #include "support/faultpoint.h"
 
-// Portable SIMD: GCC/Clang vector extensions compile to whatever the target
-// offers (AVX-512, AVX2 pairs, NEON, or plain scalar code) with identical
-// integer semantics, so the fast path needs no per-ISA intrinsics and the
-// bit-identity contract holds everywhere. STC_REPLAY_NO_SIMD forces the
-// scalar reference loops (used to cross-check, and for odd toolchains).
-#if (defined(__GNUC__) || defined(__clang__)) && !defined(STC_REPLAY_NO_SIMD)
+// Portable SIMD for sequentiality_span: GCC/Clang vector extensions compile
+// to whatever the target offers (AVX-512, AVX2 pairs, NEON, or plain scalar
+// code) with identical integer semantics, so the fast path needs no per-ISA
+// intrinsics and the bit-identity contract holds everywhere. Other
+// toolchains run the scalar loop.
+#if defined(__GNUC__) || defined(__clang__)
 #define STC_REPLAY_SIMD 1
 #else
 #define STC_REPLAY_SIMD 0
@@ -110,6 +110,17 @@ void EventSlab::adopt(std::vector<cfg::BlockId> events) {
   for (const cfg::BlockId id : events_) max_id_ = std::max(max_id_, id);
 }
 
+void decode_checked_chunk(const trace::BlockTrace& trace, std::size_t c,
+                          const BlockMetaTable& meta,
+                          std::vector<cfg::BlockId>& out) {
+  const std::size_t first_new = out.size();
+  trace.decode_chunk(c, out);
+  for (std::size_t i = first_new; i < out.size(); ++i) {
+    STC_CHECK_MSG(out[i] < meta.size(),
+                  "trace names blocks outside the program image");
+  }
+}
+
 Status CompiledTable::build(const BlockMetaTable& meta,
                             std::uint32_t line_bytes, ReplayArena& arena) {
   if (Status s = fault::fail_if("replay.compile",
@@ -125,8 +136,9 @@ Status CompiledTable::build(const BlockMetaTable& meta,
   std::uint64_t* word = arena.alloc<std::uint64_t>(n);
   for (cfg::BlockId b = 0; b < n; ++b) {
     first[b] = meta.addr(b) / line_bytes;
-    // Mirrors run_missrate: the last line is the one holding the block's
-    // final instruction byte (end_addr - 1), even for zero-length blocks.
+    // Mirrors missrate_span's meta-derived bounds: the last line is the one
+    // holding the block's final instruction byte (end_addr - 1), even for
+    // zero-length blocks.
     last[b] = (meta.end_addr(b) - 1) / line_bytes;
     word[b] = meta.addr(b) / cfg::kInsnBytes;
   }
@@ -257,33 +269,27 @@ const ReplayPlan* ReplayPlanCache::get(const trace::BlockTrace& trace,
 }
 
 namespace replay_detail {
-namespace {
-
-#if STC_REPLAY_SIMD
-typedef std::uint64_t u64x8 __attribute__((vector_size(64)));
-#endif
-constexpr std::size_t kLanes = 8;
-
-}  // namespace
 
 void missrate_span(const cfg::BlockId* events, std::size_t n,
                    const BlockMetaTable& meta, const CompiledTable* tables,
                    std::uint32_t line_bytes, ICache& cache,
                    std::vector<std::uint64_t>* per_block_misses,
-                   ReplayKernel kernel, MissSpanState& state,
-                   MissRateResult& result) {
-  (void)kernel;
+                   ReplayKernel /*kernel: one loop, see ReplayKernel*/,
+                   MissSpanState& state, MissRateResult& result) {
   const bool use_tables = tables != nullptr && tables->valid() &&
                           tables->line_bytes() == line_bytes;
   std::uint64_t prev_line = state.prev_line;
-  // Same contract as the interpreter loop: consecutive instructions on one
-  // line probe once; a line re-entered after leaving probes again. The probe
-  // sequence is inherently serial (the cache is stateful), so it is shared
-  // verbatim by both kernels — SIMD only accelerates the pure per-event
-  // arithmetic around it, which is what keeps the kernels bit-identical.
-  const auto probe = [&](cfg::BlockId block, std::uint64_t first,
-                         std::uint64_t last) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const cfg::BlockId block = events[i];
+    result.instructions += meta.insns(block);
+    const std::uint64_t first = use_tables ? tables->first_line(block)
+                                           : meta.addr(block) / line_bytes;
+    const std::uint64_t last = use_tables
+                                   ? tables->last_line(block)
+                                   : (meta.end_addr(block) - 1) / line_bytes;
     for (std::uint64_t l = first; l <= last; ++l) {
+      // Consecutive instructions on one line probe the cache once; a line
+      // re-entered after leaving (even the same line) probes again.
       if (l == prev_line) continue;
       ++result.line_accesses;
       if (!cache.access(l * line_bytes)) {
@@ -292,46 +298,18 @@ void missrate_span(const cfg::BlockId* events, std::size_t n,
       }
       prev_line = l;
     }
-  };
-  std::size_t i = 0;
-#if STC_REPLAY_SIMD
-  if (kernel == ReplayKernel::kSimd && use_tables && n >= kLanes) {
-    // Vector pre-pass per 8 events: gather the pre-resolved line bounds and
-    // accumulate instruction counts in vector lanes; then drain the probes
-    // in order from the gathered bounds.
-    u64x8 insn_acc = {};
-    std::uint64_t firsts[kLanes];
-    std::uint64_t lasts[kLanes];
-    for (; i + kLanes <= n; i += kLanes) {
-      u64x8 insns;
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const cfg::BlockId b = events[i + l];
-        insns[l] = meta.insns(b);
-        firsts[l] = tables->first_line(b);
-        lasts[l] = tables->last_line(b);
-      }
-      insn_acc += insns;
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        probe(events[i + l], firsts[l], lasts[l]);
-      }
-    }
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      result.instructions += insn_acc[l];
-    }
-  }
-#endif
-  for (; i < n; ++i) {
-    const cfg::BlockId block = events[i];
-    result.instructions += meta.insns(block);
-    const std::uint64_t first = use_tables ? tables->first_line(block)
-                                           : meta.addr(block) / line_bytes;
-    const std::uint64_t last = use_tables
-                                   ? tables->last_line(block)
-                                   : (meta.end_addr(block) - 1) / line_bytes;
-    probe(block, first, last);
   }
   state.prev_line = prev_line;
 }
+
+#if STC_REPLAY_SIMD
+namespace {
+
+typedef std::uint64_t u64x8 __attribute__((vector_size(64)));
+constexpr std::size_t kLanes = 8;
+
+}  // namespace
+#endif
 
 void sequentiality_span(const cfg::BlockId* events, std::size_t n,
                         const BlockMetaTable& meta, ReplayKernel kernel,
@@ -396,7 +374,7 @@ MissRateResult replay_missrate(const ReplayPlan& plan, ICache& cache,
   replay_detail::MissSpanState state;
   replay_detail::missrate_span(plan.slab().data(), plan.slab().size(), meta,
                                &plan.compiled(), cache.geometry().line_bytes,
-                               cache, per_block_misses, ReplayKernel::kSimd,
+                               cache, per_block_misses, ReplayKernel::kScalar,
                                state, result);
   return result;
 }

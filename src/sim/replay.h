@@ -10,8 +10,10 @@
 // event.
 //
 // Two modes, selected with STC_REPLAY (validated in src/support/env):
-//   interp   - no plan. The miss rate and sequentiality run their
-//              per-event streams; SEQ.3, the trace cache, the front end and
+//   interp   - no plan. The miss rate (run_missrate) feeds decoded chunks
+//              to the same missrate_span kernel as compiled mode, with line
+//              bounds derived from a BlockMetaTable; sequentiality runs its
+//              per-event stream; SEQ.3, the trace cache, the front end and
 //              the back end run the same FetchPipe loop as compiled mode,
 //              fed one decoded chunk at a time (sim/fetch_unit.h).
 //   compiled - slab + SoA metadata, plus per-block cache-line membership
@@ -30,13 +32,16 @@
 // fault-injection tests can force the clean fallback to the interpreter.
 //
 // The missrate/sequentiality inner loops are span kernels over a raw event
-// range with explicit carried state (replay_detail), which buys two things:
-// an 8-wide SIMD fast path (portable GCC/Clang vector extensions, scalar
-// fallback elsewhere — bit-identical by construction because integer sums
-// are associative and the stateful cache probes stay scalar and in order),
-// and streaming replay (replay_*_streamed) that pulls chunks off an on-disk
-// trace through trace::TraceReader one at a time, so traces far larger than
-// RAM replay with peak memory bounded by one chunk.
+// range with explicit carried state (replay_detail). missrate_span is the
+// only miss-rate loop: run_missrate, replay_missrate, the streamed replay
+// and the bench's tenant attribution all feed it spans. Spans buy streaming
+// replay (replay_*_streamed), which pulls chunks off an on-disk trace
+// through trace::TraceReader one at a time, so traces far larger than RAM
+// replay with peak memory bounded by one chunk. Sequentiality also has an
+// 8-wide SIMD path (portable GCC/Clang vector extensions, scalar loop
+// elsewhere; bit-identical because integer sums are associative). The miss
+// rate has none: its cache probes are serial, and a vector pre-pass around
+// them measured slower than the plain loop.
 #pragma once
 
 #include <cstdint>
@@ -62,11 +67,14 @@ namespace stc::sim {
 
 enum class ReplayMode { kInterp, kCompiled };
 
-// Inner-loop kernel selection. kSimd takes the 8-wide vector path where the
-// toolchain provides vector extensions (GCC/Clang; define STC_REPLAY_NO_SIMD
-// to opt out) and silently degrades to the scalar reference loop elsewhere;
-// both produce bit-identical counters, so this is a speed knob, never a
-// semantics knob. Benches use kScalar for their "interp-equivalent" rows.
+// Kernel selection for sequentiality_span. kSimd takes the 8-wide vector
+// path where the toolchain provides vector extensions (GCC/Clang) and runs
+// the scalar loop elsewhere; both produce bit-identical counters, so this
+// is a speed knob, never a semantics knob. Benches use kScalar for their
+// "interp-equivalent" rows. The miss rate has one loop and ignores the
+// argument; missrate_span and replay_missrate_streamed keep it only because
+// perfbench/workloads.cpp passes it, and drop it with the next change to
+// the benchmark.
 enum class ReplayKernel { kScalar, kSimd };
 
 const char* to_string(ReplayMode mode);
@@ -159,6 +167,14 @@ class EventSlab {
   std::vector<cfg::BlockId> events_;
   cfg::BlockId max_id_ = 0;
 };
+
+// Appends chunk `c` of `trace` to `out` and aborts if a decoded id names a
+// block outside `meta`. The chunk-fed loops (FetchPipe, run_missrate, the
+// bench's tenant attribution) check each chunk this way once, then index
+// `meta` unchecked, as the slab loops do after a plan's max_id check.
+void decode_checked_chunk(const trace::BlockTrace& trace, std::size_t c,
+                          const BlockMetaTable& meta,
+                          std::vector<cfg::BlockId>& out);
 
 // Synthetic back-end cost model shared by every replay mode. The back end
 // (src/backend) turns each dynamic block into one op whose latency derives
@@ -348,11 +364,12 @@ class ReplayPlanCache {
   bool logged_fallback_ = false;
 };
 
-// Span kernels behind the replay loops, exposed so tests can pin SIMD
-// against scalar over arbitrary span lengths (tails included). Each kernel
-// consumes a raw event range and carries explicit state, so feeding a slab
-// in one span or chunk-by-chunk composes to exactly the same counter and
-// cache-access sequence.
+// Span kernels behind the replay loops, exposed so the chunk-fed callers
+// (run_missrate, the bench's tenant attribution, perfbench) can share them
+// and tests can pin them over arbitrary span lengths (SIMD tails included).
+// Each kernel consumes a raw event range and carries explicit state, so
+// feeding a slab in one span or chunk-by-chunk composes to exactly the same
+// counter and cache-access sequence.
 namespace replay_detail {
 
 struct MissSpanState {
@@ -367,7 +384,8 @@ struct SeqSpanState {
 };
 
 // `tables` may be null (or built for a different line size); the kernel
-// then derives line bounds from `meta` exactly like the interpreter.
+// then derives line bounds from `meta`. `kernel` is ignored (see
+// ReplayKernel).
 void missrate_span(const cfg::BlockId* events, std::size_t n,
                    const BlockMetaTable& meta, const CompiledTable* tables,
                    std::uint32_t line_bytes, ICache& cache,

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "cfg/builder.h"
+#include "sim/replay.h"
+#include "support/rng.h"
+#include "testing/synthetic.h"
+#include "trace/trace_format.h"
+#include "verify/reference.h"
 
 namespace stc::sim {
 namespace {
@@ -92,6 +97,40 @@ TEST(ICacheTest, ContainsChecksVictimToo) {
   cache.access(1024);  // 0 demoted to victim
   EXPECT_TRUE(cache.contains(0));
   EXPECT_TRUE(cache.contains(1024));
+}
+
+// prefetch_fill shares access()'s fill path, victim cache included, but
+// never touches the stats.
+TEST(ICacheTest, PrefetchFillUsesTheVictimCache) {
+  ICache cache({1024, 64, 1}, /*victim_lines=*/2);
+  EXPECT_FALSE(cache.access(0));
+  const CacheStats cold = cache.stats();
+
+  // A prefetch that evicts line 0 demotes it into the victim cache.
+  EXPECT_FALSE(cache.prefetch_fill(1024));
+  EXPECT_TRUE(cache.contains(0));
+  EXPECT_TRUE(cache.contains(1024));
+  EXPECT_EQ(cache.stats().accesses, cold.accesses);
+
+  // A demand access to the demoted line is a victim hit; 1024 swaps out.
+  EXPECT_TRUE(cache.access(0));
+  EXPECT_EQ(cache.stats().victim_hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  // A prefetch of the line now in the victim cache promotes it back to the
+  // main cache without touching the stats.
+  const CacheStats before = cache.stats();
+  EXPECT_TRUE(cache.prefetch_fill(1024));
+  EXPECT_EQ(cache.stats().accesses, before.accesses);
+  EXPECT_EQ(cache.stats().misses, before.misses);
+  EXPECT_EQ(cache.stats().victim_hits, before.victim_hits);
+  // Promoted to the main cache: a demand access is a plain hit, and line 0
+  // went back to the victim cache.
+  EXPECT_TRUE(cache.access(1024));
+  EXPECT_EQ(cache.stats().victim_hits, before.victim_hits);
+  EXPECT_TRUE(cache.access(0));
+  EXPECT_EQ(cache.stats().victim_hits, before.victim_hits + 1);
+  EXPECT_EQ(cache.stats().misses, before.misses);
 }
 
 TEST(ICacheDeathTest, RejectsNonPowerOfTwoLine) {
@@ -190,6 +229,84 @@ TEST(MissRateTest, BlockSpanningTwoLinesTouchesBoth) {
   const auto layout = cfg::AddressMap::original(*image);
   const MissRateResult result = run_missrate(t, *image, layout, cache);
   EXPECT_EQ(result.line_accesses, 2u);
+}
+
+// run_missrate decodes one chunk at a time. Every chunk of this trace opens
+// on the line the previous chunk's last event ended on, so the loop must
+// carry its last probed line across chunks, or it probes that line twice.
+// The counters and the per-block attribution must match the compiled plan
+// and the naive reference model.
+TEST(MissRateTest, ChunkFedMatchesPlanAndReference) {
+  constexpr std::uint32_t kLine = 64;
+  Rng rng(1618);
+  const auto image = testing::random_image(rng, 40);
+  const cfg::AddressMap layout = cfg::AddressMap::original(*image);
+  const auto line_of = [&](std::uint64_t addr) { return addr / kLine; };
+  // A block that fits on one line: repeating it re-enters that line.
+  cfg::BlockId one_line = 0;
+  while (line_of(layout.addr(one_line)) !=
+         line_of(layout.end_addr(*image, one_line) - 1)) {
+    ++one_line;
+  }
+
+  // Random events, except that the last event of each chunk and the first
+  // of the next are both `one_line` (an event costs at most 3 bytes).
+  trace::BlockTrace trace;
+  std::uint64_t closed_bytes = 0;  // bytes in the chunks before the open one
+  while (trace.num_chunks() < 4) {
+    const std::uint64_t before = trace.byte_size();
+    const std::size_t chunks = trace.num_chunks();
+    const bool closing =
+        before - closed_bytes + 8 >= trace::format::kChunkTargetBytes;
+    trace.append(closing ? one_line
+                         : static_cast<cfg::BlockId>(
+                               rng.uniform(image->num_blocks())));
+    if (trace.num_chunks() != chunks) closed_bytes = before;
+  }
+  for (int i = 0; i < 500; ++i) {
+    trace.append(static_cast<cfg::BlockId>(rng.uniform(image->num_blocks())));
+  }
+  ASSERT_EQ(trace.num_chunks(), 4u);
+  for (std::size_t c = 0; c + 1 < trace.num_chunks(); ++c) {
+    std::vector<cfg::BlockId> tail;
+    std::vector<cfg::BlockId> head;
+    trace.decode_chunk(c, tail);
+    trace.decode_chunk(c + 1, head);
+    ASSERT_EQ(line_of(layout.end_addr(*image, tail.back()) - 1),
+              line_of(layout.addr(head.front())))
+        << "chunk " << c;
+  }
+
+  const CacheGeometry geometry{2048, kLine, 2};
+  ICache interp_cache(geometry);
+  std::vector<std::uint64_t> interp_blocks;
+  const MissRateResult interp =
+      run_missrate(trace, *image, layout, interp_cache, &interp_blocks);
+
+  auto plan =
+      build_replay_plan(ReplayMode::kCompiled, trace, *image, layout, kLine);
+  ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
+  ICache plan_cache(geometry);
+  std::vector<std::uint64_t> plan_blocks;
+  const MissRateResult compiled =
+      replay_missrate(plan.value(), plan_cache, &plan_blocks);
+
+  const verify::ReferenceMissRate ref =
+      verify::reference_missrate(trace, *image, layout, geometry);
+
+  const auto expect_reference = [&](const char* name,
+                                    const MissRateResult& got,
+                                    const std::vector<std::uint64_t>& blocks) {
+    EXPECT_EQ(got.instructions, ref.result.instructions) << name;
+    EXPECT_EQ(got.line_accesses, ref.result.line_accesses) << name;
+    EXPECT_EQ(got.misses, ref.result.misses) << name;
+    EXPECT_EQ(blocks, ref.per_block) << name;
+  };
+  expect_reference("interp", interp, interp_blocks);
+  expect_reference("compiled", compiled, plan_blocks);
+  EXPECT_GT(ref.result.misses, 0u);
+  EXPECT_EQ(interp_cache.stats().accesses, ref.cache.accesses);
+  EXPECT_EQ(interp_cache.stats().misses, ref.cache.misses);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Streaming + SIMD replay: the 8-wide span kernels must match the scalar
-// ones bit for bit on every span length (vector body and tail alike), spans
-// must compose through the carried state exactly like one flat pass, and the
-// streamed entry points over an on-disk trace must reproduce the in-memory
-// replay counters.
+// Streaming + SIMD replay: the 8-wide sequentiality kernel must match the
+// scalar one bit for bit on every span length (vector body and tail alike),
+// the miss-rate kernel's line tables must match its meta-derived line
+// bounds, spans must compose through the carried state exactly like one
+// flat pass, and the streamed entry points over an on-disk trace must
+// reproduce the in-memory replay counters.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -79,28 +80,25 @@ trace::SequentialityStats run_seq_span(const ReplayPlan& plan,
   return stats;
 }
 
-// Every span length from empty through several vector widths plus tails:
-// SIMD == scalar, with and without the compiled line tables, including the
-// per-block miss attribution.
+// Every span length from empty through several vector widths plus tails.
+// The miss rate has one loop with two sources of line bounds: the compiled
+// line tables must match the bounds derived from the metadata table,
+// per-block miss attribution included. Sequentiality: SIMD == scalar.
 TEST_F(ReplayStreamTest, SimdMatchesScalarOnEverySpanLength) {
   ASSERT_GE(events_.size(), 70u);
   for (std::size_t n = 0; n <= 70; ++n) {
-    for (const CompiledTable* tables : {&plan_->compiled(),
-                                        static_cast<const CompiledTable*>(
-                                            nullptr)}) {
-      std::vector<std::uint64_t> scalar_blocks(plan_->meta().size(), 0);
-      std::vector<std::uint64_t> simd_blocks(plan_->meta().size(), 0);
-      const MissRateResult scalar =
-          run_miss_span(*plan_, tables, geometry(), events_, n,
-                        ReplayKernel::kScalar, &scalar_blocks);
-      const MissRateResult simd =
-          run_miss_span(*plan_, tables, geometry(), events_, n,
-                        ReplayKernel::kSimd, &simd_blocks);
-      ASSERT_EQ(simd.instructions, scalar.instructions) << "n=" << n;
-      ASSERT_EQ(simd.line_accesses, scalar.line_accesses) << "n=" << n;
-      ASSERT_EQ(simd.misses, scalar.misses) << "n=" << n;
-      ASSERT_EQ(simd_blocks, scalar_blocks) << "n=" << n;
-    }
+    std::vector<std::uint64_t> table_blocks(plan_->meta().size(), 0);
+    std::vector<std::uint64_t> meta_blocks(plan_->meta().size(), 0);
+    const MissRateResult tables =
+        run_miss_span(*plan_, &plan_->compiled(), geometry(), events_, n,
+                      ReplayKernel::kScalar, &table_blocks);
+    const MissRateResult derived =
+        run_miss_span(*plan_, nullptr, geometry(), events_, n,
+                      ReplayKernel::kScalar, &meta_blocks);
+    ASSERT_EQ(tables.instructions, derived.instructions) << "n=" << n;
+    ASSERT_EQ(tables.line_accesses, derived.line_accesses) << "n=" << n;
+    ASSERT_EQ(tables.misses, derived.misses) << "n=" << n;
+    ASSERT_EQ(table_blocks, meta_blocks) << "n=" << n;
     const trace::SequentialityStats scalar =
         run_seq_span(*plan_, events_, n, ReplayKernel::kScalar);
     const trace::SequentialityStats simd =

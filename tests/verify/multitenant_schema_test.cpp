@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,8 +22,11 @@
 #include "sim/icache.h"
 #include "support/check.h"
 #include "support/experiment.h"
+#include "support/rng.h"
 #include "testing/golden_compare.h"
 #include "testing/json_parse.h"
+#include "testing/synthetic.h"
+#include "verify/oracle.h"
 #include "workload/composer.h"
 
 #ifndef STC_VERIFY_TEST_DIR
@@ -159,6 +163,92 @@ TEST(MultitenantSchemaTest, TenantCellShapeIsStable) {
     const double worst = metrics->find("worst_miss_pct")->number;
     EXPECT_GE(worst, metrics->find("miss_pct_t0")->number);
     EXPECT_GE(worst, metrics->find("miss_pct_t1")->number);
+  }
+}
+
+// tenant_missrates cuts its spans at chunk and at segment boundaries. With
+// segments straddling chunk boundaries, each tenant must be charged exactly
+// its own stream's instructions, and the probes and misses must add up to a
+// plain run_missrate pass over the composed trace. Tenants walk the image
+// mostly block after block, so a chunk often opens on the line the previous
+// chunk ended on, and a span state lost at a chunk boundary shows.
+TEST(TenantMissTest, SegmentsStraddlingChunksAddUp) {
+  constexpr std::uint32_t kLine = 64;
+  Rng rng(7919);
+  const auto image = testing::random_image(rng, 40);
+  const auto layout = cfg::AddressMap::original(*image);
+  const cfg::BlockId blocks = static_cast<cfg::BlockId>(image->num_blocks());
+  std::vector<workload::TenantStream> streams(3);
+  for (std::size_t t = 0; t < streams.size(); ++t) {
+    streams[t].name = "t" + std::to_string(t);
+    cfg::BlockId b = 0;
+    for (int i = 0; i < 50000; ++i) {
+      b = rng.chance(0.9) && b + 1 < blocks
+              ? b + 1
+              : static_cast<cfg::BlockId>(rng.uniform(blocks));
+      streams[t].trace.append(b);
+    }
+  }
+  workload::ComposeParams params;
+  params.quantum_events = 997;
+  params.arrival = workload::ArrivalKind::kRoundRobin;
+  Result<workload::ComposedTrace> built = workload::compose(streams, params);
+  ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+  const workload::ComposedTrace& composed = built.value();
+  ASSERT_GE(composed.trace.num_chunks(), 2u);
+
+  // Count the chunk boundaries inside a segment whose first event re-enters
+  // the line the previous event ended on.
+  std::set<std::uint64_t> segment_ends;
+  std::uint64_t pos = 0;
+  for (const workload::TenantSegment& seg : composed.segments) {
+    pos += seg.events;
+    segment_ends.insert(pos);
+  }
+  std::size_t straddled = 0;
+  std::uint64_t chunk_end = 0;
+  for (std::size_t c = 0; c + 1 < composed.trace.num_chunks(); ++c) {
+    std::vector<cfg::BlockId> tail;
+    std::vector<cfg::BlockId> head;
+    chunk_end += composed.trace.decode_chunk(c, tail);
+    composed.trace.decode_chunk(c + 1, head);
+    if (segment_ends.count(chunk_end) == 0 &&
+        (layout.end_addr(*image, tail.back()) - 1) / kLine ==
+            layout.addr(head.front()) / kLine) {
+      ++straddled;
+    }
+  }
+  ASSERT_GT(straddled, 0u);
+
+  const sim::CacheGeometry geometry{2048, kLine, 1};
+  const std::vector<sim::MissRateResult> per =
+      bench::tenant_missrates(composed, *image, layout, geometry);
+  ASSERT_EQ(per.size(), streams.size());
+  sim::MissRateResult sum;
+  for (std::size_t t = 0; t < per.size(); ++t) {
+    EXPECT_EQ(per[t].instructions,
+              verify::trace_instructions(streams[t].trace, *image))
+        << "tenant " << t;
+    sum.instructions += per[t].instructions;
+    sum.line_accesses += per[t].line_accesses;
+    sum.misses += per[t].misses;
+  }
+  sim::ICache cache(geometry);
+  const sim::MissRateResult whole =
+      sim::run_missrate(composed.trace, *image, layout, cache);
+  EXPECT_GT(whole.misses, 0u);
+  EXPECT_EQ(sum.instructions, whole.instructions);
+  EXPECT_EQ(sum.line_accesses, whole.line_accesses);
+  EXPECT_EQ(sum.misses, whole.misses);
+
+  // The bench cell reports the same sums.
+  const ExperimentResult cell =
+      bench::measure_tenant_miss(composed, *image, layout, geometry);
+  EXPECT_EQ(cell.counters().get("line_accesses"), whole.line_accesses);
+  EXPECT_EQ(cell.counters().get("misses"), whole.misses);
+  for (std::size_t t = 0; t < per.size(); ++t) {
+    EXPECT_EQ(cell.counters().get("t" + std::to_string(t) + "_misses"),
+              per[t].misses);
   }
 }
 
